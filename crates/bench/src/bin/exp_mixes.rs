@@ -192,7 +192,7 @@ fn run() -> Result<(), UntangleError> {
         )
     });
     let mut maintain_total = (0.0, 0);
-    for summary in outcome.summaries.iter().flatten() {
+    for summary in outcome.results.iter().flatten() {
         print_mix(summary, &out_dir)?;
         maintain_total.0 += summary.maintain_fraction();
         maintain_total.1 += 1;
@@ -217,12 +217,12 @@ fn run() -> Result<(), UntangleError> {
     if !outcome.is_complete() {
         obs::diag!(
             "warning: {} mix(es) failed every attempt and are missing above",
-            outcome.summaries.iter().filter(|s| s.is_none()).count()
+            outcome.results.iter().filter(|s| s.is_none()).count()
         );
     }
     obs::diag!(
         "evaluated {} mixes ({} resumed from checkpoints) in {:.2} s on {} thread(s)",
-        outcome.summaries.iter().flatten().count(),
+        outcome.results.iter().flatten().count(),
         outcome.resumed,
         wall.as_secs_f64(),
         parallel::thread_count()
@@ -284,7 +284,7 @@ fn run() -> Result<(), UntangleError> {
     let cache = RmaxCache::global().stats();
     let section = Json::obj(vec![
         ("scale", Json::Num(scale)),
-        ("mixes", Json::Int(outcome.summaries.len() as i64)),
+        ("mixes", Json::Int(outcome.results.len() as i64)),
         ("resumed", Json::Int(outcome.resumed as i64)),
         (
             "worker_failures",

@@ -17,10 +17,11 @@
 
 use std::path::Path;
 
+use untangle_bench::checkpoint::{CheckpointStore, SweepOutcome};
 use untangle_bench::parallel::RetryPolicy;
 use untangle_bench::report::{update_section, Json};
 use untangle_bench::scenarios::{
-    run_scenario_sweep, summarize, ScenarioStore, SweepOutcome, SweepSettings, SweepSummary,
+    run_scenario_sweep, summarize, ScenarioResult, SweepSettings, SweepSummary,
 };
 use untangle_bench::table::{f3, TextTable};
 use untangle_bench::{has_flag, parse_flag};
@@ -72,7 +73,7 @@ fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 
-fn print_summary(summary: &SweepSummary, outcome: &SweepOutcome) {
+fn print_summary(summary: &SweepSummary, outcome: &SweepOutcome<ScenarioResult>) {
     println!(
         "\nScenario sweep: {}/{} scenarios complete ({} resumed from checkpoints)",
         summary.completed, summary.scenarios, outcome.resumed
@@ -185,7 +186,7 @@ fn run() -> Result<(), UntangleError> {
     );
 
     let out_dir = Path::new(&out);
-    let store = ScenarioStore::new(out_dir.join("checkpoints"))?;
+    let store = CheckpointStore::new(out_dir.join("checkpoints"))?;
     let outcome = run_scenario_sweep(
         out_dir,
         &settings,

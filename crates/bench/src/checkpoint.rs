@@ -1,20 +1,16 @@
-//! Checkpoint/resume for long sweeps.
+//! Checkpoint/resume for long sweeps: one durable store and one
+//! resumable engine, shared by `exp_mixes` and `exp_scenarios`.
 //!
-//! `exp_mixes` at full scale is hours of wall clock; a crash at mix 15
-//! used to throw all of it away. This module persists each completed
-//! work item (one mix × four schemes, distilled into a [`MixSummary`])
-//! as one JSON file under `<out>/checkpoints/`, and `--resume` skips
-//! items whose checkpoint **fingerprint** — an FNV-1a hash over the mix
-//! id, the evaluation scale, the RNG seed base, every
-//! [`DinkelbachOptions`] field, the scheme list, and the format version
-//! — matches the current invocation. A checkpoint written under
-//! different settings can therefore never be replayed into the wrong
-//! sweep: it is simply recomputed. (Before format version 2 the solver
-//! configuration was *not* part of the fingerprint, so tightening or
-//! loosening the Dinkelbach tolerance silently resumed checkpoints
-//! computed under the old solver settings.)
+//! A full-scale sweep is hours of wall clock. [`run_resumable`] persists
+//! each completed work item (a [`Checkpoint`]: one mix × four schemes as
+//! a [`MixSummary`], or one [`crate::scenarios::ScenarioResult`]) as one
+//! JSON file under `<out>/checkpoints/`, and `--resume` skips items whose
+//! checkpoint **fingerprint** — the FNV-1a hash of every input that
+//! determines the result, e.g. [`sweep_fingerprint`] — matches the
+//! current invocation. A checkpoint written under different settings is
+//! therefore never replayed into the wrong sweep: it is recomputed.
 //!
-//! Three properties make resume sound:
+//! Four properties make resume sound:
 //!
 //! * **Bit-identical serialization.** [`crate::report::Json`] renders
 //!   floats with Rust's shortest-roundtrip `Display` and
@@ -32,21 +28,27 @@
 //!   Version and fingerprint mismatches are *not* corruption: a
 //!   checkpoint written under different settings loads as `Ok(None)`
 //!   and is silently recomputed.
+//! * **Shape checks.** A payload must list exactly the sweep's schemes,
+//!   in order, with one entry per domain; anything else is corruption,
+//!   so a foreign file can neither panic a report nor misattribute it.
 //! * **Write-on-completion.** The worker saves an item's checkpoint the
-//!   moment the item finishes (see
-//!   [`crate::experiments::run_all_mixes_resumable`]), so killing the
-//!   process loses at most the items currently in flight — at most one
-//!   per worker.
+//!   moment the item finishes, so killing the process loses at most the
+//!   items currently in flight — at most one per worker.
 
+use std::marker::PhantomData;
 use std::path::PathBuf;
 
 use untangle_core::scheme::SchemeKind;
 use untangle_core::UntangleError;
+use untangle_durable::fnv1a;
 use untangle_durable::slot::{Slot, SlotState};
 use untangle_info::DinkelbachOptions;
+use untangle_obs as obs;
 use untangle_sim::stats::{geometric_mean, stable_sum};
+use untangle_workloads::mix::Mix;
 
 use crate::experiments::MixEvaluation;
+use crate::parallel::{par_map_isolated, ItemFailure, RetryPolicy};
 use crate::report::Json;
 
 /// Bumped whenever the checkpoint layout or fingerprint inputs change;
@@ -54,47 +56,46 @@ use crate::report::Json;
 /// misread. Version 2 added the solver-configuration digest; version 3
 /// moved storage into the checksummed [`Slot`] container (a version-2
 /// file has no slot header, so it classifies as corrupt and is
-/// recomputed after a diagnostic). Version 4 is shared with the
-/// scenario-sweep checkpoints of [`crate::scenarios`], whose
-/// fingerprints additionally fold in the on-disk trace format version.
+/// recomputed after a diagnostic). Version 4 is shared by every
+/// [`Checkpoint`] type (scenario fingerprints also fold in the trace
+/// format version); the shared store kept its bytes, and so the version.
 pub const FORMAT_VERSION: u32 = 4;
 
-/// 64-bit FNV-1a over `bytes`.
-pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// Appends the names of `schemes` to `bytes` and renders the FNV-1a
+/// hash of the whole as a 16-hex-digit fingerprint.
+pub(crate) fn fingerprint_of(mut bytes: Vec<u8>, schemes: &[SchemeKind]) -> String {
+    for kind in schemes {
+        bytes.extend_from_slice(kind.name().as_bytes());
     }
-    h
+    format!("{:016x}", fnv1a(&bytes))
 }
 
 /// The fingerprint tying a checkpoint to one exact work item: mix id,
 /// evaluation scale (exact bits), RNG seed base, the full solver
 /// configuration (every [`DinkelbachOptions`] field, float fields as
-/// exact bit patterns), scheme list, and format version. Rendered as 16
-/// hex digits.
+/// exact bit patterns), scheme list, and format version.
 pub fn sweep_fingerprint(
     mix_id: usize,
     scale: f64,
     seed_base: u64,
     options: &DinkelbachOptions,
 ) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-    h = fnv1a(h, &(FORMAT_VERSION as u64).to_le_bytes());
-    h = fnv1a(h, &(mix_id as u64).to_le_bytes());
-    h = fnv1a(h, &scale.to_bits().to_le_bytes());
-    h = fnv1a(h, &seed_base.to_le_bytes());
-    h = fnv1a(h, &options.tolerance.to_bits().to_le_bytes());
-    h = fnv1a(h, &(options.max_outer_iterations as u64).to_le_bytes());
-    h = fnv1a(h, &(options.max_inner_iterations as u64).to_le_bytes());
-    h = fnv1a(h, &options.inner_gap_tolerance.to_bits().to_le_bytes());
-    h = fnv1a(h, &options.upper_bound_margin.to_bits().to_le_bytes());
-    h = fnv1a(h, &(options.max_margin_doublings as u64).to_le_bytes());
-    for kind in SchemeKind::ALL {
-        h = fnv1a(h, kind.name().as_bytes());
-    }
-    format!("{h:016x}")
+    let words = [
+        u64::from(FORMAT_VERSION),
+        mix_id as u64,
+        scale.to_bits(),
+        seed_base,
+        options.tolerance.to_bits(),
+        options.max_outer_iterations as u64,
+        options.max_inner_iterations as u64,
+        options.inner_gap_tolerance.to_bits(),
+        options.upper_bound_margin.to_bits(),
+        options.max_margin_doublings as u64,
+    ];
+    fingerprint_of(
+        words.iter().flat_map(|w| w.to_le_bytes()).collect(),
+        &SchemeKind::ALL,
+    )
 }
 
 /// Everything `exp_mixes` reports about one scheme's run over a mix,
@@ -145,43 +146,23 @@ impl MixSummary {
             schemes: eval
                 .runs
                 .iter()
-                .map(|run| SchemeSummary {
-                    kind: run.kind.name().to_string(),
-                    ipc: run.report.domains.iter().map(|d| d.ipc()).collect(),
-                    total_bits: run
-                        .report
-                        .domains
-                        .iter()
-                        .map(|d| d.leakage.total_bits)
-                        .collect(),
-                    assessments: run
-                        .report
-                        .domains
-                        .iter()
-                        .map(|d| d.leakage.assessments)
-                        .collect(),
-                    maintains: run
-                        .report
-                        .domains
-                        .iter()
-                        .map(|d| d.leakage.maintains)
-                        .collect(),
-                    quartiles: run
-                        .report
-                        .domains
-                        .iter()
-                        .map(|d| {
-                            d.size_quartiles().map(|(min, q1, med, q3, max)| {
-                                [
-                                    min.to_string(),
-                                    q1.to_string(),
-                                    med.to_string(),
-                                    q3.to_string(),
-                                    max.to_string(),
-                                ]
+                .map(|run| {
+                    let domains = &run.report.domains;
+                    SchemeSummary {
+                        kind: run.kind.name().to_string(),
+                        ipc: domains.iter().map(|d| d.ipc()).collect(),
+                        total_bits: domains.iter().map(|d| d.leakage.total_bits).collect(),
+                        assessments: domains.iter().map(|d| d.leakage.assessments).collect(),
+                        maintains: domains.iter().map(|d| d.leakage.maintains).collect(),
+                        quartiles: domains
+                            .iter()
+                            .map(|d| {
+                                d.size_quartiles().map(|(min, q1, med, q3, max)| {
+                                    [min, q1, med, q3, max].map(|s| s.to_string())
+                                })
                             })
-                        })
-                        .collect(),
+                            .collect(),
+                    }
                 })
                 .collect(),
         }
@@ -192,7 +173,7 @@ impl MixSummary {
         self.schemes
             .iter()
             .find(|s| s.kind == kind.name())
-            .expect("summary covers all four schemes")
+            .expect("from_evaluation and from_json both yield all four schemes")
     }
 
     /// Per-domain leakage in bits per assessment under `kind` (same
@@ -240,193 +221,225 @@ impl MixSummary {
         let bits = &self.scheme(kind).total_bits;
         stable_sum(bits) / bits.len() as f64
     }
+}
 
+/// A sweep result that checkpoints as one JSON payload per work item.
+pub trait Checkpoint: Sized {
+    /// The work item this result is computed from.
+    type Item;
+    /// The key the payload sits under in the checkpoint file.
+    const PAYLOAD_KEY: &'static str;
+    /// The id of `item`, which names its checkpoint file.
+    fn item_id(item: &Self::Item) -> usize;
+    /// The checkpoint file name for item `id`.
+    fn file_name(id: usize) -> String;
+    /// The id of the item this result belongs to.
+    fn id(&self) -> usize;
     /// Serializes to the checkpoint JSON payload.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json;
+    /// Deserializes and shape-checks a checkpoint JSON payload.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first missing, mistyped, or misshapen field.
+    fn from_json(json: &Json) -> Result<Self, String>;
+}
+
+impl Checkpoint for MixSummary {
+    type Item = Mix;
+    const PAYLOAD_KEY: &'static str = "summary";
+
+    fn item_id(mix: &Mix) -> usize {
+        mix.id
+    }
+
+    fn file_name(id: usize) -> String {
+        format!("mix{id:02}.json")
+    }
+
+    fn id(&self) -> usize {
+        self.mix_id
+    }
+
+    fn to_json(&self) -> Json {
+        let strs = |labels: &[String]| arr(labels, |l| Json::Str(l.clone()));
+        let nums = |values: &[f64]| arr(values, |&x| Json::Num(x));
+        let ints = |values: &[u64]| arr(values, |&x| Json::Int(x as i64));
         Json::obj(vec![
             ("mix_id", Json::Int(self.mix_id as i64)),
-            (
-                "labels",
-                Json::Arr(self.labels.iter().cloned().map(Json::Str).collect()),
-            ),
-            (
-                "sensitive",
-                Json::Arr(self.sensitive.iter().map(|&b| Json::Bool(b)).collect()),
-            ),
+            ("labels", strs(&self.labels)),
+            ("sensitive", arr(&self.sensitive, |&b| Json::Bool(b))),
             ("total_demand_mb", Json::Num(self.total_demand_mb)),
             (
                 "schemes",
-                Json::Arr(
-                    self.schemes
-                        .iter()
-                        .map(|s| {
-                            Json::obj(vec![
-                                ("kind", Json::Str(s.kind.clone())),
-                                ("ipc", nums(&s.ipc)),
-                                ("total_bits", nums(&s.total_bits)),
-                                ("assessments", ints(&s.assessments)),
-                                ("maintains", ints(&s.maintains)),
-                                (
-                                    "quartiles",
-                                    Json::Arr(
-                                        s.quartiles
-                                            .iter()
-                                            .map(|q| match q {
-                                                None => Json::Null,
-                                                Some(labels) => Json::Arr(
-                                                    labels.iter().cloned().map(Json::Str).collect(),
-                                                ),
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
+                arr(&self.schemes, |s| {
+                    Json::obj(vec![
+                        ("kind", Json::Str(s.kind.clone())),
+                        ("ipc", nums(&s.ipc)),
+                        ("total_bits", nums(&s.total_bits)),
+                        ("assessments", ints(&s.assessments)),
+                        ("maintains", ints(&s.maintains)),
+                        (
+                            "quartiles",
+                            arr(&s.quartiles, |q| q.as_ref().map_or(Json::Null, |l| strs(l))),
+                        ),
+                    ])
+                }),
             ),
         ])
     }
 
-    /// Deserializes a checkpoint JSON payload.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or mistyped field; the store treats
-    /// any error as "no checkpoint" and recomputes the item.
-    pub fn from_json(json: &Json) -> Result<MixSummary, String> {
-        let schemes = field(json, "schemes")?
-            .as_arr()
-            .ok_or("'schemes' is not an array")?
+    fn from_json(json: &Json) -> Result<MixSummary, String> {
+        let schemes = arr_field(json, "schemes")?
             .iter()
             .map(|s| {
                 Ok(SchemeSummary {
-                    kind: field(s, "kind")?
-                        .as_str()
-                        .ok_or("'kind' is not a string")?
-                        .to_string(),
-                    ipc: f64_vec(s, "ipc")?,
-                    total_bits: f64_vec(s, "total_bits")?,
-                    assessments: u64_vec(s, "assessments")?,
-                    maintains: u64_vec(s, "maintains")?,
-                    quartiles: field(s, "quartiles")?
-                        .as_arr()
-                        .ok_or("'quartiles' is not an array")?
-                        .iter()
-                        .map(|q| match q {
-                            Json::Null => Ok(None),
-                            other => {
-                                let items = other.as_arr().ok_or("quartile is not an array")?;
-                                let labels: Vec<String> = items
-                                    .iter()
-                                    .map(|l| {
-                                        l.as_str()
-                                            .map(str::to_string)
-                                            .ok_or("quartile label is not a string")
-                                    })
-                                    .collect::<Result<_, _>>()?;
-                                <[String; 5]>::try_from(labels)
-                                    .map(Some)
-                                    .map_err(|_| "quartile needs exactly 5 labels")
-                            }
-                        })
-                        .collect::<Result<_, &str>>()
-                        .map_err(str::to_string)?,
+                    kind: str_field(s, "kind")?,
+                    ipc: vec_field(s, "ipc", Json::as_f64)?,
+                    total_bits: vec_field(s, "total_bits", Json::as_f64)?,
+                    assessments: vec_field(s, "assessments", as_u64)?,
+                    maintains: vec_field(s, "maintains", as_u64)?,
+                    quartiles: vec_field(s, "quartiles", |q| match q {
+                        Json::Null => Some(None),
+                        labels => {
+                            let labels: Vec<String> = labels
+                                .as_arr()?
+                                .iter()
+                                .map(|l| l.as_str().map(str::to_string))
+                                .collect::<Option<_>>()?;
+                            <[String; 5]>::try_from(labels).ok().map(Some)
+                        }
+                    })?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
+        check_kinds(schemes.iter().map(|s| &s.kind), &SchemeKind::ALL)?;
+        let labels = vec_field(json, "labels", |l| l.as_str().map(str::to_string))?;
+        let sensitive = vec_field(json, "sensitive", Json::as_bool)?;
+        let n = labels.len();
+        let misshapen = schemes.iter().any(|s| {
+            [
+                s.ipc.len(),
+                s.total_bits.len(),
+                s.assessments.len(),
+                s.maintains.len(),
+                s.quartiles.len(),
+            ] != [n; 5]
+        });
+        if sensitive.len() != n || misshapen {
+            return Err(format!("per-domain vectors do not all have {n} entries"));
+        }
         Ok(MixSummary {
-            mix_id: field(json, "mix_id")?
-                .as_i64()
-                .and_then(|i| usize::try_from(i).ok())
-                .ok_or("'mix_id' is not a non-negative integer")?,
-            labels: field(json, "labels")?
-                .as_arr()
-                .ok_or("'labels' is not an array")?
-                .iter()
-                .map(|l| {
-                    l.as_str()
-                        .map(str::to_string)
-                        .ok_or("label is not a string")
-                })
-                .collect::<Result<_, _>>()?,
-            sensitive: field(json, "sensitive")?
-                .as_arr()
-                .ok_or("'sensitive' is not an array")?
-                .iter()
-                .map(|b| b.as_bool().ok_or("sensitivity flag is not a bool"))
-                .collect::<Result<_, _>>()?,
-            total_demand_mb: field(json, "total_demand_mb")?
-                .as_f64()
-                .ok_or("'total_demand_mb' is not a number")?,
+            mix_id: usize::try_from(int_field(json, "mix_id")?)
+                .map_err(|_| "'mix_id' does not fit usize".to_string())?,
+            labels,
+            sensitive,
+            total_demand_mb: num_field(json, "total_demand_mb")?,
             schemes,
         })
     }
 }
 
-fn nums(values: &[f64]) -> Json {
-    Json::Arr(values.iter().map(|&x| Json::Num(x)).collect())
+/// Checks that `kinds` names exactly `expected`, in order.
+pub(crate) fn check_kinds<'a>(
+    kinds: impl Iterator<Item = &'a String>,
+    expected: &[SchemeKind],
+) -> Result<(), String> {
+    let kinds: Vec<&String> = kinds.collect();
+    if kinds
+        .iter()
+        .map(|k| k.as_str())
+        .eq(expected.iter().map(|k| k.name()))
+    {
+        Ok(())
+    } else {
+        Err(format!(
+            "schemes {kinds:?} are not the sweep's {expected:?}"
+        ))
+    }
 }
 
-fn ints(values: &[u64]) -> Json {
-    Json::Arr(values.iter().map(|&x| Json::Int(x as i64)).collect())
+/// Renders `values` as a JSON array, one element per value.
+pub(crate) fn arr<T>(values: &[T], element: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(values.iter().map(element).collect())
 }
 
-pub(crate) fn field<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
+fn as_u64(json: &Json) -> Option<u64> {
+    json.as_i64().and_then(|i| u64::try_from(i).ok())
+}
+
+fn field<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
     json.get(key)
         .ok_or_else(|| format!("missing field '{key}'"))
 }
 
-fn f64_vec(json: &Json, key: &str) -> Result<Vec<f64>, String> {
-    field(json, key)?
-        .as_arr()
-        .ok_or_else(|| format!("'{key}' is not an array"))?
+/// Reads field `key` through `read`, naming the field on failure.
+fn typed<'a, T>(
+    json: &'a Json,
+    key: &str,
+    what: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    read(field(json, key)?).ok_or_else(|| format!("'{key}' is not {what}"))
+}
+
+pub(crate) fn arr_field<'a>(json: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    typed(json, key, "an array", Json::as_arr)
+}
+
+pub(crate) fn str_field(json: &Json, key: &str) -> Result<String, String> {
+    typed(json, key, "a string", |j| j.as_str().map(str::to_string))
+}
+
+pub(crate) fn num_field(json: &Json, key: &str) -> Result<f64, String> {
+    typed(json, key, "a number", Json::as_f64)
+}
+
+pub(crate) fn int_field(json: &Json, key: &str) -> Result<u64, String> {
+    typed(json, key, "a non-negative integer", as_u64)
+}
+
+/// Reads array field `key`, converting every element through `read`.
+fn vec_field<T>(
+    json: &Json,
+    key: &str,
+    read: impl Fn(&Json) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    arr_field(json, key)?
         .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| format!("'{key}' element is not a number"))
-        })
+        .map(|v| read(v).ok_or_else(|| format!("'{key}' has a mistyped element")))
         .collect()
 }
 
-fn u64_vec(json: &Json, key: &str) -> Result<Vec<u64>, String> {
-    field(json, key)?
-        .as_arr()
-        .ok_or_else(|| format!("'{key}' is not an array"))?
-        .iter()
-        .map(|v| {
-            v.as_i64()
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| format!("'{key}' element is not a non-negative integer"))
-        })
-        .collect()
-}
-
-/// The on-disk checkpoint directory for one sweep.
-#[derive(Debug, Clone)]
-pub struct CheckpointStore {
+/// The on-disk checkpoint directory for one sweep of `T` results.
+#[derive(Debug)]
+pub struct CheckpointStore<T> {
     dir: PathBuf,
+    results: PhantomData<fn() -> T>,
 }
 
-impl CheckpointStore {
+impl<T: Checkpoint> CheckpointStore<T> {
     /// Opens (creating if needed) the checkpoint directory.
     ///
     /// # Errors
     ///
     /// [`UntangleError::Checkpoint`] when the directory cannot be
     /// created.
-    pub fn new(dir: impl Into<PathBuf>) -> Result<CheckpointStore, UntangleError> {
+    pub fn new(dir: impl Into<PathBuf>) -> Result<CheckpointStore<T>, UntangleError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| UntangleError::Checkpoint {
             path: dir.display().to_string(),
             reason: format!("cannot create directory: {e}"),
         })?;
-        Ok(CheckpointStore { dir })
+        Ok(CheckpointStore {
+            dir,
+            results: PhantomData,
+        })
     }
 
-    /// The checkpoint path for one mix.
-    pub fn path_for(&self, mix_id: usize) -> PathBuf {
-        self.dir.join(format!("mix{mix_id:02}.json"))
+    /// The checkpoint path for item `id`.
+    pub fn path_for(&self, id: usize) -> PathBuf {
+        self.dir.join(T::file_name(id))
     }
 
     /// Persists one completed item through the durable [`Slot`]
@@ -438,12 +451,12 @@ impl CheckpointStore {
     /// [`UntangleError::Checkpoint`] on any I/O failure; callers treat
     /// this as best-effort (the sweep result is unaffected, only
     /// resumability of this item is lost).
-    pub fn save(&self, summary: &MixSummary, fingerprint: &str) -> Result<(), UntangleError> {
-        let path = self.path_for(summary.mix_id);
+    pub fn save(&self, result: &T, fingerprint: &str) -> Result<(), UntangleError> {
+        let path = self.path_for(result.id());
         let payload = Json::obj(vec![
-            ("version", Json::Int(FORMAT_VERSION as i64)),
+            ("version", Json::Int(i64::from(FORMAT_VERSION))),
             ("fingerprint", Json::Str(fingerprint.to_string())),
-            ("summary", summary.to_json()),
+            (T::PAYLOAD_KEY, result.to_json()),
         ]);
         Slot::new(&path)
             .store((payload.render() + "\n").as_bytes())
@@ -453,7 +466,7 @@ impl CheckpointStore {
             })
     }
 
-    /// Loads the checkpoint for `mix_id`.
+    /// Loads the checkpoint for item `id`.
     ///
     /// `Ok(Some(_))` means a valid checkpoint carrying the expected
     /// fingerprint; `Ok(None)` means "recompute, nothing wrong" — the
@@ -464,16 +477,13 @@ impl CheckpointStore {
     ///
     /// [`UntangleError::Checkpoint`] when a file is *present but
     /// damaged*: truncated, bit-flipped, carrying trailing garbage, or
-    /// (despite an intact checksum) unparsable. The slot header makes
-    /// every strict byte prefix of a checkpoint detectable, so a torn
-    /// file can never be half-read. Callers log the diagnostic and
-    /// recompute the item fresh — the error is recoverable by design.
-    pub fn load(
-        &self,
-        mix_id: usize,
-        fingerprint: &str,
-    ) -> Result<Option<MixSummary>, UntangleError> {
-        let path = self.path_for(mix_id);
+    /// (despite an intact checksum) unparsable or misshapen. The slot
+    /// header makes every strict byte prefix of a checkpoint
+    /// detectable, so a torn file can never be half-read. Callers log
+    /// the diagnostic and recompute the item fresh — the error is
+    /// recoverable by design.
+    pub fn load(&self, id: usize, fingerprint: &str) -> Result<Option<T>, UntangleError> {
+        let path = self.path_for(id);
         let corrupt = |reason: String| UntangleError::Checkpoint {
             path: path.display().to_string(),
             reason,
@@ -491,24 +501,133 @@ impl CheckpointStore {
         let json = Json::parse(&text).map_err(|e| corrupt(format!("unparsable payload: {e}")))?;
         // Version / fingerprint mismatches are not corruption: the file
         // is intact, just written under different settings.
-        let matches = json.get("version").and_then(Json::as_i64) == Some(FORMAT_VERSION as i64)
+        let matches = json.get("version").and_then(Json::as_i64) == Some(i64::from(FORMAT_VERSION))
             && json.get("fingerprint").and_then(Json::as_str) == Some(fingerprint);
         if !matches {
             return Ok(None);
         }
-        let summary = json
-            .get("summary")
-            .ok_or_else(|| corrupt("missing field 'summary'".to_string()))
-            .and_then(|s| MixSummary::from_json(s).map_err(corrupt))?;
-        // A checkpoint renamed across mixes cannot leak into the wrong
+        let result = field(&json, T::PAYLOAD_KEY)
+            .and_then(T::from_json)
+            .map_err(corrupt)?;
+        // A checkpoint renamed across items cannot leak into the wrong
         // slot (the fingerprint covers the id, but be explicit).
-        Ok((summary.mix_id == mix_id).then_some(summary))
+        Ok((result.id() == id).then_some(result))
+    }
+}
+
+/// What a resumable sweep produced.
+#[derive(Debug)]
+pub struct SweepOutcome<T> {
+    /// Results in item order; `None` where the item failed (see
+    /// `failures` and `errors`).
+    pub results: Vec<Option<T>>,
+    /// Every panicked attempt, recovered or not, in deterministic
+    /// `(item, attempt)` order.
+    pub failures: Vec<ItemFailure>,
+    /// Typed errors, as `(item index, message)`.
+    pub errors: Vec<(usize, String)>,
+    /// Items restored from checkpoints instead of recomputed.
+    pub resumed: usize,
+}
+
+impl<T> SweepOutcome<T> {
+    /// Whether every item produced a result.
+    pub fn is_complete(&self) -> bool {
+        self.results.iter().all(Option::is_some)
+    }
+}
+
+/// The resumable sweep engine: `run(i, &items[i])` for every item behind
+/// [`par_map_isolated`] (panic isolation, `retry`), checkpointed through
+/// `store`.
+///
+/// With `resume` set, items whose checkpoint carries
+/// `fingerprint(i, &items[i])` load instead (`engine.checkpoint_hits`);
+/// a damaged one is diagnosed (`engine.checkpoint_corrupt`) and
+/// recomputed, so corruption can degrade resume, never results. Each
+/// computed item is checkpointed **by its worker the moment it
+/// completes** (`engine.checkpoint_writes`), resume or not; a failed
+/// write only costs that item's resumability. A `run` error lands in
+/// [`SweepOutcome::errors`] and the sweep moves on.
+pub fn run_resumable<T, FP, R>(
+    items: &[T::Item],
+    fingerprint: FP,
+    run: R,
+    store: Option<&CheckpointStore<T>>,
+    resume: bool,
+    retry: RetryPolicy,
+) -> SweepOutcome<T>
+where
+    T: Checkpoint + Send,
+    T::Item: Sync,
+    FP: Fn(usize, &T::Item) -> String,
+    R: Fn(usize, &T::Item) -> Result<T, UntangleError> + Sync,
+{
+    let fingerprints: Vec<String> = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| fingerprint(i, item))
+        .collect();
+    // `Ok(None)` (missing, or written under other settings) recomputes
+    // silently; a damaged checkpoint recomputes after a diagnostic.
+    let mut results: Vec<Option<T>> = items
+        .iter()
+        .zip(&fingerprints)
+        .map(
+            |(item, fp)| match store.filter(|_| resume)?.load(T::item_id(item), fp) {
+                Ok(hit) => hit,
+                Err(e) => {
+                    obs::counter_add("engine.checkpoint_corrupt", 1);
+                    obs::diag!("warning: {e}; recomputing item {} fresh", T::item_id(item));
+                    None
+                }
+            },
+        )
+        .collect();
+    let resumed = results.iter().flatten().count();
+    if resumed > 0 {
+        obs::counter_add("engine.checkpoint_hits", resumed as u64);
+    }
+
+    let pending: Vec<usize> = (0..items.len()).filter(|&i| results[i].is_none()).collect();
+    let isolated = par_map_isolated(pending.len(), retry, |j| -> Result<T, UntangleError> {
+        let i = pending[j];
+        let result = run(i, &items[i])?;
+        if let Some(store) = store {
+            match store.save(&result, &fingerprints[i]) {
+                Ok(()) => obs::counter_add("engine.checkpoint_writes", 1),
+                Err(e) => obs::diag!("warning: {e} (item {} will not be resumable)", result.id()),
+            }
+        }
+        Ok(result)
+    });
+
+    let mut errors = Vec::new();
+    for (j, slot) in isolated.results.into_iter().enumerate() {
+        match slot {
+            Some(Ok(result)) => results[pending[j]] = Some(result),
+            Some(Err(e)) => errors.push((pending[j], e.to_string())),
+            None => {}
+        }
+    }
+    // Failure records carry pending-list positions; map them back to
+    // item-list positions so reports name the right item.
+    let mut failures = isolated.failures;
+    for failure in &mut failures {
+        failure.item = pending[failure.item];
+    }
+    SweepOutcome {
+        results,
+        failures,
+        errors,
+        resumed,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use untangle_workloads::mix::mix_by_id;
 
     fn sample_summary(mix_id: usize) -> MixSummary {
         let scheme = |kind: SchemeKind, with_samples: bool| SchemeSummary {
@@ -711,6 +830,61 @@ mod tests {
             store.load(3, &fp_loosened).unwrap().is_none(),
             "checkpoint computed under different solver options must be recomputed"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // Captured before the fingerprint moved onto the shared
+        // `untangle_durable::fnv1a`: a silent re-hash would orphan
+        // every existing checkpoint.
+        assert_eq!(
+            sweep_fingerprint(1, 0.01, 0xfeed, &DinkelbachOptions::default()),
+            "743e60b4e83a128a"
+        );
+    }
+
+    #[test]
+    fn misshapen_checkpoints_are_rejected_and_recomputed() {
+        // Regression test: a checkpoint with an intact checksum and the
+        // expected fingerprint but the wrong shape used to load, and a
+        // missing scheme then panicked `MixSummary::scheme`.
+        let dir = std::env::temp_dir().join("untangle_ckpt_misshapen");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir).unwrap();
+        let mix = mix_by_id(3).unwrap();
+        let fp = |_: usize, m: &Mix| sweep_fingerprint(m.id, 0.01, 0xfeed, &Default::default());
+        let fresh = sample_summary(3);
+        let mut reordered = fresh.clone();
+        reordered.schemes.swap(0, 1);
+        let mut missing = fresh.clone();
+        missing.schemes.pop();
+        let mut short = fresh.clone();
+        short.schemes[2].ipc.pop();
+        for bad in [reordered, missing, short] {
+            let payload = Json::obj(vec![
+                ("version", Json::Int(i64::from(FORMAT_VERSION))),
+                ("fingerprint", Json::Str(fp(0, &mix))),
+                ("summary", bad.to_json()),
+            ]);
+            Slot::new(store.path_for(3))
+                .store(payload.render().as_bytes())
+                .unwrap();
+            let err = store.load(3, &fp(0, &mix)).unwrap_err();
+            assert!(matches!(err, UntangleError::Checkpoint { .. }), "{err:?}");
+
+            let outcome = run_resumable(
+                std::slice::from_ref(&mix),
+                fp,
+                |_, m: &Mix| Ok(sample_summary(m.id)),
+                Some(&store),
+                true,
+                RetryPolicy::default(),
+            );
+            assert_eq!(outcome.resumed, 0, "a misshapen checkpoint never resumes");
+            assert_eq!(outcome.results, vec![Some(fresh.clone())]);
+            assert_eq!(store.load(3, &fp(0, &mix)).unwrap(), Some(fresh.clone()));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,16 +10,17 @@
 //! Repeated `R_max` solves are deduplicated through the process-wide
 //! [`RmaxCache`].
 
-use crate::checkpoint::{sweep_fingerprint, CheckpointStore, MixSummary};
-use crate::parallel::{par_map, par_map_indexed, par_map_isolated, ItemFailure, RetryPolicy};
-use untangle_core::runner::{DomainReport, RunReport, Runner, RunnerConfig};
+use crate::checkpoint::{
+    run_resumable, sweep_fingerprint, CheckpointStore, MixSummary, SweepOutcome,
+};
+use crate::parallel::{par_map, par_map_indexed, RetryPolicy};
+use untangle_core::runner::{RunReport, Runner, RunnerConfig};
 use untangle_core::scheme::SchemeKind;
 use untangle_info::{Channel, DelayDist, DinkelbachOptions, RmaxCache};
 use untangle_info::{ChannelConfig, Dist};
 use untangle_obs as obs;
 use untangle_sim::config::PartitionSize;
 use untangle_sim::stats::{geometric_mean, stable_sum};
-use untangle_trace::TraceSource;
 use untangle_workloads::mix::Mix;
 use untangle_workloads::spec::SpecBenchmark;
 
@@ -128,66 +129,35 @@ impl MixEvaluation {
             .report
     }
 
-    /// Per-workload IPC of `kind` normalized to Static (the Fig. 10
-    /// bottom rows).
-    pub fn normalized_ipc(&self, kind: SchemeKind) -> Vec<f64> {
-        let base = self.run(SchemeKind::Static);
-        self.run(kind)
-            .domains
-            .iter()
-            .zip(&base.domains)
-            .map(|(d, b)| {
-                let base_ipc = b.ipc();
-                if base_ipc > 0.0 {
-                    d.ipc() / base_ipc
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    /// System-wide speedup of `kind` over Static (geometric mean of
-    /// per-workload normalized IPCs, §9).
-    pub fn speedup(&self, kind: SchemeKind) -> f64 {
-        geometric_mean(&self.normalized_ipc(kind))
-    }
-
-    /// Per-workload leakage in bits per assessment for a dynamic scheme.
-    pub fn leakage_per_assessment(&self, kind: SchemeKind) -> Vec<f64> {
-        self.run(kind)
-            .domains
-            .iter()
-            .map(|d| d.leakage.bits_per_assessment())
-            .collect()
-    }
-
     /// Average per-workload total leakage in bits (Table 6 columns).
     pub fn avg_total_leakage(&self, kind: SchemeKind) -> f64 {
-        let domains = &self.run(kind).domains;
-        let bits: Vec<f64> = domains.iter().map(|d| d.leakage.total_bits).collect();
-        stable_sum(&bits) / domains.len() as f64
+        avg_total_bits(self.run(kind))
     }
 
     /// Average per-assessment leakage across workloads (Table 6).
     pub fn avg_leakage_per_assessment(&self, kind: SchemeKind) -> f64 {
-        let per = self.leakage_per_assessment(kind);
-        stable_sum(&per) / per.len() as f64
+        avg_bits_per_assessment(self.run(kind))
     }
+}
 
-    /// Fraction of all Untangle assessments in the mix that chose
-    /// Maintain (§9 reports ~90 %).
-    pub fn maintain_fraction(&self) -> f64 {
-        let domains = &self.run(SchemeKind::Untangle).domains;
-        let (maintains, total) = domains.iter().fold((0u64, 0u64), |(m, t), d| {
-            (m + d.leakage.maintains, t + d.leakage.assessments)
-        });
-        if total == 0 {
-            0.0
-        } else {
-            maintains as f64 / total as f64
-        }
-    }
+/// Mean over workloads of each one's leaked bits per assessment.
+fn avg_bits_per_assessment(report: &RunReport) -> f64 {
+    let per: Vec<f64> = report
+        .domains
+        .iter()
+        .map(|d| d.leakage.bits_per_assessment())
+        .collect();
+    stable_sum(&per) / report.domains.len() as f64
+}
+
+/// Mean total leaked bits per workload.
+fn avg_total_bits(report: &RunReport) -> f64 {
+    let bits: Vec<f64> = report
+        .domains
+        .iter()
+        .map(|d| d.leakage.total_bits)
+        .collect();
+    stable_sum(&bits) / report.domains.len() as f64
 }
 
 /// Builds the runner config for one (mix, scheme) evaluation.
@@ -255,127 +225,43 @@ pub fn run_all_mixes(mixes: &[Mix], scale: f64) -> Vec<MixEvaluation> {
         .collect()
 }
 
-/// The outcome of a fault-tolerant, resumable mix sweep.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Per-mix summaries in input order; `None` where the item panicked
-    /// on every attempt (see `failures`).
-    pub summaries: Vec<Option<MixSummary>>,
-    /// How many items were restored from checkpoints instead of
-    /// recomputed.
-    pub resumed: usize,
-    /// Every panicked attempt, recovered or not, in deterministic
-    /// `(item, attempt)` order.
-    pub failures: Vec<ItemFailure>,
-}
-
-impl SweepOutcome {
-    /// Whether every mix produced a summary.
-    pub fn is_complete(&self) -> bool {
-        self.summaries.iter().all(Option::is_some)
-    }
-}
-
-/// [`run_all_mixes`] hardened for long sweeps: per-item panic isolation
-/// with bounded retries, and checkpoint/resume through `store`.
+/// [`run_all_mixes`] hardened for long sweeps: the mixes go through
+/// the resumable engine [`run_resumable`] (per-item panic isolation
+/// with bounded retries, checkpoint/resume through `store`).
 ///
 /// The unit of work is one mix (its four schemes run in sequence inside
-/// the item), and an item's checkpoint is written **by the worker the
-/// moment the item completes** — killing the process therefore loses at
-/// most the items in flight, at most one per worker. With `resume` set,
-/// items whose checkpoint fingerprint (mix id, scale, seed base, scheme
-/// list, format version) matches are loaded instead of recomputed;
-/// because the JSON layer roundtrips floats bit-for-bit, a resumed
-/// sweep's output is byte-identical to an uninterrupted one. A
-/// checkpoint file that is present but damaged (torn, bit-flipped,
-/// trailing garbage) is detected by the durable slot's checksum header,
-/// reported as a diagnostic plus the `engine.checkpoint_corrupt`
-/// counter, and recomputed fresh — corruption can degrade resume, never
-/// results.
-///
-/// A failed checkpoint write is reported to stderr and does not fail
-/// the item — only its resumability is lost. A panicking item is
-/// retried up to `retry.max_attempts` times; every attempt re-derives
-/// its seeds from `(MIX_SEED_BASE, mix.id)` alone, so retried results
-/// cannot diverge from clean ones.
+/// the item, under a `mix/NN` span). Its checkpoint fingerprint is
+/// [`sweep_fingerprint`] over the mix id, `scale`, [`MIX_SEED_BASE`],
+/// and the default solver options. A panicking item is retried up to
+/// `retry.max_attempts` times; every attempt re-derives its seeds from
+/// `(MIX_SEED_BASE, mix.id)` alone, so retried results cannot diverge
+/// from clean ones.
 pub fn run_all_mixes_resumable(
     mixes: &[Mix],
     scale: f64,
     retry: RetryPolicy,
-    store: Option<&CheckpointStore>,
+    store: Option<&CheckpointStore<MixSummary>>,
     resume: bool,
-) -> SweepOutcome {
+) -> SweepOutcome<MixSummary> {
     let options = DinkelbachOptions::default();
-    let fingerprints: Vec<String> = mixes
-        .iter()
-        .map(|m| sweep_fingerprint(m.id, scale, MIX_SEED_BASE, &options))
-        .collect();
-
-    let mut summaries: Vec<Option<MixSummary>> = vec![None; mixes.len()];
-    let mut resumed = 0;
-    if resume {
-        if let Some(store) = store {
-            for (i, mix) in mixes.iter().enumerate() {
-                match store.load(mix.id, &fingerprints[i]) {
-                    Ok(Some(summary)) => {
-                        summaries[i] = Some(summary);
-                        resumed += 1;
-                        obs::counter_add("engine.checkpoint_hits", 1);
-                    }
-                    // Missing or written under different settings:
-                    // recompute, nothing to report.
-                    Ok(None) => {}
-                    // Present but damaged (torn tail, bit-rot, trailing
-                    // garbage): detected, diagnosed, recomputed fresh.
-                    Err(e) => {
-                        obs::counter_add("engine.checkpoint_corrupt", 1);
-                        obs::diag!("warning: {e}; recomputing mix {} fresh", mix.id);
-                    }
-                }
-            }
-        }
-    }
-
-    let pending: Vec<usize> = (0..mixes.len())
-        .filter(|&i| summaries[i].is_none())
-        .collect();
-    let run = par_map_isolated(pending.len(), retry, |j| {
-        let i = pending[j];
-        let mix = &mixes[i];
-        let _span = obs::span(&format!("mix/{:02}", mix.id));
-        let runs: Vec<SchemeRun> = SchemeKind::ALL
-            .iter()
-            .map(|&kind| SchemeRun {
-                kind,
-                report: run_mix_under(mix, kind, scale),
-            })
-            .collect();
-        let summary = MixSummary::from_evaluation(&group_mix(mix, runs));
-        if let Some(store) = store {
-            match store.save(&summary, &fingerprints[i]) {
-                Ok(()) => obs::counter_add("engine.checkpoint_writes", 1),
-                Err(e) => {
-                    obs::diag!("warning: {e} (mix {} will not be resumable)", mix.id);
-                }
-            }
-        }
-        summary
-    });
-
-    let mut failures = run.failures;
-    for (j, result) in run.results.into_iter().enumerate() {
-        summaries[pending[j]] = result;
-    }
-    // Failure records carry pending-list positions; map them back to
-    // mix-list positions so reports name the right item.
-    for failure in &mut failures {
-        failure.item = pending[failure.item];
-    }
-    SweepOutcome {
-        summaries,
-        resumed,
-        failures,
-    }
+    run_resumable(
+        mixes,
+        |_, mix| sweep_fingerprint(mix.id, scale, MIX_SEED_BASE, &options),
+        |_, mix| {
+            let _span = obs::span(&format!("mix/{:02}", mix.id));
+            let runs: Vec<SchemeRun> = SchemeKind::ALL
+                .iter()
+                .map(|&kind| SchemeRun {
+                    kind,
+                    report: run_mix_under(mix, kind, scale),
+                })
+                .collect();
+            Ok(MixSummary::from_evaluation(&group_mix(mix, runs)))
+        },
+        store,
+        resume,
+        retry,
+    )
 }
 
 /// One row of Table 6.
@@ -440,18 +326,10 @@ pub fn active_attacker_study(mix: &Mix, scale: f64) -> ActiveAttackerRow {
     let attacked = Runner::new(config, mix.sources(MIX_SEED_BASE ^ mix.id as u64, scale))
         .expect("runner")
         .run();
-    let avg = |r: &RunReport| {
-        let per: Vec<f64> = r
-            .domains
-            .iter()
-            .map(|d: &DomainReport| d.leakage.bits_per_assessment())
-            .collect();
-        stable_sum(&per) / r.domains.len() as f64
-    };
     ActiveAttackerRow {
         mix_id: mix.id,
-        optimized_benign: avg(&benign),
-        worst_case: avg(&attacked),
+        optimized_benign: avg_bits_per_assessment(&benign),
+        worst_case: avg_bits_per_assessment(&attacked),
     }
 }
 
@@ -587,22 +465,8 @@ pub fn cooldown_sweep(mix: &Mix, scale: f64, factors: &[u64], seed: u64) -> Vec<
         CooldownSweepRow {
             interval,
             speedup: speedup_over(&report, &static_ipcs),
-            avg_bits_per_assessment: {
-                let per: Vec<f64> = report
-                    .domains
-                    .iter()
-                    .map(|d| d.leakage.bits_per_assessment())
-                    .collect();
-                stable_sum(&per) / n
-            },
-            avg_total_bits: {
-                let bits: Vec<f64> = report
-                    .domains
-                    .iter()
-                    .map(|d| d.leakage.total_bits)
-                    .collect();
-                stable_sum(&bits) / n
-            },
+            avg_bits_per_assessment: avg_bits_per_assessment(&report),
+            avg_total_bits: avg_total_bits(&report),
             avg_assessments: report
                 .domains
                 .iter()
@@ -653,14 +517,6 @@ pub fn budget_sweep(
             untangle_speedup: pair[1],
         })
         .collect()
-}
-
-/// Runs a boxed workload under a scheme at test scale (used by
-/// integration tests and the quickstart example).
-pub fn quick_run(kind: SchemeKind, source: Box<dyn TraceSource>) -> RunReport {
-    Runner::new(RunnerConfig::test_scale(kind, 1), vec![source])
-        .expect("runner")
-        .run()
 }
 
 #[cfg(test)]

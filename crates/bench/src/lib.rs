@@ -24,8 +24,9 @@
 //! * [`parallel`] — deterministic fan-out of experiment work across
 //!   threads (the `parallel` cargo feature, on by default), with
 //!   per-item panic isolation and bounded retries.
-//! * [`checkpoint`] — persisted work items and the `--resume` flow, so
-//!   a killed sweep recomputes at most the items that were in flight.
+//! * [`checkpoint`] — the one resumable sweep engine behind `exp_mixes`
+//!   and `exp_scenarios`: persisted work items and the `--resume` flow,
+//!   so a killed sweep recomputes at most the items that were in flight.
 //! * [`scenarios`] — the `exp_scenarios` sweep: on-disk trace
 //!   generation, SimPoint-style slice sampling, weighted slice replay
 //!   under every scheme, and sampled-vs-full validation.

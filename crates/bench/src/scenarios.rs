@@ -26,18 +26,17 @@
 //!    sampled-vs-full IPC and leakage error
 //!    ([`untangle_sim::stats::relative_error`]).
 //!
-//! Completed scenarios checkpoint through [`ScenarioStore`] (the same
-//! durable [`Slot`] discipline as [`crate::checkpoint`]), fingerprinted
-//! over every sweep setting plus both format versions, so `--resume`
+//! Scenarios run through the resumable engine of [`crate::checkpoint`]
+//! — the same engine, [`CheckpointStore`] and counters as the mix sweep
+//! — with each [`ScenarioResult`] fingerprinted over every sweep setting
+//! plus both format versions ([`scenario_fingerprint`]), so `--resume`
 //! can never replay a checkpoint into a differently-configured sweep.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use untangle_core::runner::{DomainReport, Runner, RunnerConfig};
 use untangle_core::scheme::SchemeKind;
 use untangle_core::UntangleError;
-use untangle_durable::slot::{Slot, SlotState};
 use untangle_obs as obs;
 use untangle_sim::config::PartitionSize;
 use untangle_sim::stats::{relative_error, stable_sum, weighted_mean};
@@ -47,8 +46,11 @@ use untangle_trace::simpoint::{choose_slices, SimPointConfig, Slice};
 use untangle_trace::TraceSource;
 use untangle_workloads::scenario::{scenario_set, Scenario};
 
-use crate::checkpoint::{self, FORMAT_VERSION};
-use crate::parallel::{par_map_isolated, IsolatedRun, ItemFailure, RetryPolicy};
+use crate::checkpoint::{
+    arr, arr_field, check_kinds, fingerprint_of, int_field, num_field, run_resumable, str_field,
+    Checkpoint, CheckpointStore, SweepOutcome, FORMAT_VERSION,
+};
+use crate::parallel::RetryPolicy;
 use crate::report::Json;
 
 /// The schemes every scenario is swept over: the paper's four plus
@@ -392,9 +394,25 @@ impl ScenarioResult {
     pub fn sampled_instrs(&self) -> u64 {
         self.schemes.iter().map(|s| s.simulated_instrs).sum()
     }
+}
 
-    /// Serializes to the checkpoint JSON payload.
-    pub fn to_json(&self) -> Json {
+impl Checkpoint for ScenarioResult {
+    type Item = Scenario;
+    const PAYLOAD_KEY: &'static str = "result";
+
+    fn item_id(scenario: &Scenario) -> usize {
+        scenario.id as usize
+    }
+
+    fn file_name(id: usize) -> String {
+        format!("scenario{id:03}.json")
+    }
+
+    fn id(&self) -> usize {
+        self.id as usize
+    }
+
+    fn to_json(&self) -> Json {
         Json::obj(vec![
             ("id", Json::Int(i64::from(self.id))),
             ("name", Json::Str(self.name.clone())),
@@ -403,71 +421,37 @@ impl ScenarioResult {
             ("slices", Json::Int(self.slices as i64)),
             (
                 "schemes",
-                Json::Arr(
-                    self.schemes
-                        .iter()
-                        .map(|s| {
-                            Json::obj(vec![
-                                ("kind", Json::Str(s.kind.clone())),
-                                ("ipc", Json::Num(s.ipc)),
-                                ("bits_per_assessment", Json::Num(s.bits_per_assessment)),
-                                ("assessments", Json::Int(s.assessments as i64)),
-                                ("maintains", Json::Int(s.maintains as i64)),
-                                ("simulated_instrs", Json::Int(s.simulated_instrs as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                arr(&self.schemes, |s| {
+                    Json::obj(vec![
+                        ("kind", Json::Str(s.kind.clone())),
+                        ("ipc", Json::Num(s.ipc)),
+                        ("bits_per_assessment", Json::Num(s.bits_per_assessment)),
+                        ("assessments", Json::Int(s.assessments as i64)),
+                        ("maintains", Json::Int(s.maintains as i64)),
+                        ("simulated_instrs", Json::Int(s.simulated_instrs as i64)),
+                    ])
+                }),
             ),
             (
                 "validation",
-                Json::Arr(
-                    self.validation
-                        .iter()
-                        .map(|v| {
-                            Json::obj(vec![
-                                ("kind", Json::Str(v.kind.clone())),
-                                ("full_ipc", Json::Num(v.full_ipc)),
-                                (
-                                    "full_bits_per_assessment",
-                                    Json::Num(v.full_bits_per_assessment),
-                                ),
-                                ("ipc_error", Json::Num(v.ipc_error)),
-                                ("leakage_error", Json::Num(v.leakage_error)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                arr(&self.validation, |v| {
+                    Json::obj(vec![
+                        ("kind", Json::Str(v.kind.clone())),
+                        ("full_ipc", Json::Num(v.full_ipc)),
+                        (
+                            "full_bits_per_assessment",
+                            Json::Num(v.full_bits_per_assessment),
+                        ),
+                        ("ipc_error", Json::Num(v.ipc_error)),
+                        ("leakage_error", Json::Num(v.leakage_error)),
+                    ])
+                }),
             ),
         ])
     }
 
-    /// Deserializes a checkpoint JSON payload.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or mistyped field.
-    pub fn from_json(json: &Json) -> Result<ScenarioResult, String> {
-        let str_field = |j: &Json, key: &str| -> Result<String, String> {
-            checkpoint::field(j, key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("'{key}' is not a string"))
-        };
-        let num_field = |j: &Json, key: &str| -> Result<f64, String> {
-            checkpoint::field(j, key)?
-                .as_f64()
-                .ok_or_else(|| format!("'{key}' is not a number"))
-        };
-        let int_field = |j: &Json, key: &str| -> Result<u64, String> {
-            checkpoint::field(j, key)?
-                .as_i64()
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| format!("'{key}' is not a non-negative integer"))
-        };
-        let schemes = checkpoint::field(json, "schemes")?
-            .as_arr()
-            .ok_or("'schemes' is not an array")?
+    fn from_json(json: &Json) -> Result<ScenarioResult, String> {
+        let schemes = arr_field(json, "schemes")?
             .iter()
             .map(|s| {
                 Ok(SchemeEstimate {
@@ -480,9 +464,7 @@ impl ScenarioResult {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let validation = checkpoint::field(json, "validation")?
-            .as_arr()
-            .ok_or("'validation' is not an array")?
+        let validation = arr_field(json, "validation")?
             .iter()
             .map(|v| {
                 Ok(SchemeValidation {
@@ -494,16 +476,19 @@ impl ScenarioResult {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
+        // `summarize` pairs entries with `SCHEMES` by position.
+        check_kinds(schemes.iter().map(|s| &s.kind), &SCHEMES)?;
+        if !validation.is_empty() {
+            check_kinds(validation.iter().map(|v| &v.kind), &SCHEMES)?;
+        }
         Ok(ScenarioResult {
-            id: int_field(json, "id")
-                .and_then(|i| u32::try_from(i).map_err(|_| "'id' does not fit u32".to_string()))?,
+            id: u32::try_from(int_field(json, "id")?)
+                .map_err(|_| "'id' does not fit u32".to_string())?,
             name: str_field(json, "name")?,
             class: str_field(json, "class")?,
             trace_instrs: int_field(json, "trace_instrs")?,
-            slices: checkpoint::field(json, "slices")?
-                .as_i64()
-                .and_then(|i| usize::try_from(i).ok())
-                .ok_or("'slices' is not a non-negative integer")?,
+            slices: usize::try_from(int_field(json, "slices")?)
+                .map_err(|_| "'slices' does not fit usize".to_string())?,
             schemes,
             validation,
         })
@@ -652,137 +637,28 @@ pub fn scenario_fingerprint(
     settings: &SweepSettings,
     validate: bool,
 ) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |bytes: &[u8]| h = checkpoint::fnv1a(h, bytes);
-    fold(&u64::from(FORMAT_VERSION).to_le_bytes());
-    fold(&u64::from(untangle_trace::file::FORMAT_VERSION).to_le_bytes());
-    fold(&u64::from(scenario.id).to_le_bytes());
-    fold(&scenario.seed().to_le_bytes());
-    fold(scenario.class.name().as_bytes());
-    fold(&(settings.count as u64).to_le_bytes());
-    fold(&settings.trace_instrs.to_le_bytes());
-    fold(&u64::from(settings.block_instrs).to_le_bytes());
-    fold(&settings.interval_instrs.to_le_bytes());
-    fold(&(settings.max_slices as u64).to_le_bytes());
-    fold(&(settings.validate_every as u64).to_le_bytes());
-    fold(&[u8::from(validate)]);
-    for kind in SCHEMES {
-        fold(kind.name().as_bytes());
+    let mut bytes = Vec::new();
+    for word in [
+        u64::from(FORMAT_VERSION),
+        u64::from(untangle_trace::file::FORMAT_VERSION),
+        u64::from(scenario.id),
+        scenario.seed(),
+    ] {
+        bytes.extend(word.to_le_bytes());
     }
-    format!("{h:016x}")
-}
-
-/// Durable per-scenario checkpoints, one [`Slot`] file per scenario.
-#[derive(Debug, Clone)]
-pub struct ScenarioStore {
-    dir: PathBuf,
-}
-
-impl ScenarioStore {
-    /// Opens (creating if needed) the checkpoint directory.
-    ///
-    /// # Errors
-    ///
-    /// [`UntangleError::Checkpoint`] when the directory cannot be
-    /// created.
-    pub fn new(dir: impl Into<PathBuf>) -> Result<ScenarioStore, UntangleError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| UntangleError::Checkpoint {
-            path: dir.display().to_string(),
-            reason: format!("cannot create directory: {e}"),
-        })?;
-        Ok(ScenarioStore { dir })
+    bytes.extend_from_slice(scenario.class.name().as_bytes());
+    for word in [
+        settings.count as u64,
+        settings.trace_instrs,
+        u64::from(settings.block_instrs),
+        settings.interval_instrs,
+        settings.max_slices as u64,
+        settings.validate_every as u64,
+    ] {
+        bytes.extend(word.to_le_bytes());
     }
-
-    /// The checkpoint path for one scenario.
-    pub fn path_for(&self, id: u32) -> PathBuf {
-        self.dir.join(format!("scenario{id:03}.json"))
-    }
-
-    /// Persists one completed scenario, tagged with its fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// [`UntangleError::Checkpoint`] on I/O failure; callers treat this
-    /// as best-effort.
-    pub fn save(&self, result: &ScenarioResult, fingerprint: &str) -> Result<(), UntangleError> {
-        let path = self.path_for(result.id);
-        let payload = Json::obj(vec![
-            ("version", Json::Int(i64::from(FORMAT_VERSION))),
-            ("fingerprint", Json::Str(fingerprint.to_string())),
-            ("result", result.to_json()),
-        ]);
-        Slot::new(&path)
-            .store((payload.render() + "\n").as_bytes())
-            .map_err(|e| UntangleError::Checkpoint {
-                path: path.display().to_string(),
-                reason: e.to_string(),
-            })
-    }
-
-    /// Loads the checkpoint for scenario `id`. `Ok(None)` means
-    /// "recompute, nothing wrong" (missing file, or written under
-    /// different settings).
-    ///
-    /// # Errors
-    ///
-    /// [`UntangleError::Checkpoint`] when the file is present but
-    /// damaged — a recoverable diagnostic, exactly like
-    /// [`crate::checkpoint::CheckpointStore::load`].
-    pub fn load(
-        &self,
-        id: u32,
-        fingerprint: &str,
-    ) -> Result<Option<ScenarioResult>, UntangleError> {
-        let path = self.path_for(id);
-        let corrupt = |reason: String| UntangleError::Checkpoint {
-            path: path.display().to_string(),
-            reason,
-        };
-        let bytes = match Slot::new(&path)
-            .load()
-            .map_err(|e| corrupt(e.to_string()))?
-        {
-            SlotState::Missing => return Ok(None),
-            SlotState::Corrupt { reason } => return Err(corrupt(reason)),
-            SlotState::Valid(bytes) => bytes,
-        };
-        let text =
-            String::from_utf8(bytes).map_err(|_| corrupt("payload is not UTF-8".to_string()))?;
-        let json = Json::parse(&text).map_err(|e| corrupt(format!("unparsable payload: {e}")))?;
-        let matches = json.get("version").and_then(Json::as_i64) == Some(i64::from(FORMAT_VERSION))
-            && json.get("fingerprint").and_then(Json::as_str) == Some(fingerprint);
-        if !matches {
-            return Ok(None);
-        }
-        let result = json
-            .get("result")
-            .ok_or_else(|| corrupt("missing field 'result'".to_string()))
-            .and_then(|r| ScenarioResult::from_json(r).map_err(corrupt))?;
-        Ok((result.id == id).then_some(result))
-    }
-}
-
-/// What the sweep produced: one slot per scenario (`None` = failed every
-/// attempt), panic isolation records, typed per-scenario errors, and the
-/// resume count.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Results in scenario order; `None` where the scenario failed.
-    pub results: Vec<Option<ScenarioResult>>,
-    /// Worker panics caught by the isolation layer.
-    pub failures: Vec<ItemFailure>,
-    /// Typed errors, as `(scenario index, message)`.
-    pub errors: Vec<(usize, String)>,
-    /// Scenarios restored from checkpoints instead of recomputed.
-    pub resumed: usize,
-}
-
-impl SweepOutcome {
-    /// Whether every scenario completed.
-    pub fn is_complete(&self) -> bool {
-        self.results.iter().all(Option::is_some)
-    }
+    bytes.push(u8::from(validate));
+    fingerprint_of(bytes, &SCHEMES)
 }
 
 /// Runs the whole sweep: generation, sampling, per-scheme estimation,
@@ -800,62 +676,20 @@ impl SweepOutcome {
 pub fn run_scenario_sweep(
     out_dir: &Path,
     settings: &SweepSettings,
-    store: Option<&ScenarioStore>,
+    store: Option<&CheckpointStore<ScenarioResult>>,
     resume: bool,
     policy: RetryPolicy,
-) -> Result<SweepOutcome, UntangleError> {
+) -> Result<SweepOutcome<ScenarioResult>, UntangleError> {
     let trace_dir = out_dir.join("traces");
     std::fs::create_dir_all(&trace_dir)?;
-    let scenarios = scenario_set(settings.count);
-    let resumed = AtomicUsize::new(0);
-
-    let run: IsolatedRun<Result<ScenarioResult, UntangleError>> =
-        par_map_isolated(scenarios.len(), policy, |i| {
-            let scenario = &scenarios[i];
-            let validate = settings.validated(i);
-            let fingerprint = scenario_fingerprint(scenario, settings, validate);
-            if resume {
-                if let Some(store) = store {
-                    match store.load(scenario.id, &fingerprint) {
-                        Ok(Some(result)) => {
-                            resumed.fetch_add(1, Ordering::Relaxed);
-                            return Ok(result);
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            obs::counter_add("scenarios.checkpoint_corrupt", 1);
-                            obs::diag!("discarding damaged checkpoint: {e}");
-                        }
-                    }
-                }
-            }
-            let result = evaluate_scenario(&trace_dir, scenario, settings, validate)?;
-            if let Some(store) = store {
-                if let Err(e) = store.save(&result, &fingerprint) {
-                    obs::diag!("checkpoint save failed (continuing): {e}");
-                }
-            }
-            Ok(result)
-        });
-
-    let mut results = Vec::with_capacity(run.results.len());
-    let mut errors = Vec::new();
-    for (i, slot) in run.results.into_iter().enumerate() {
-        match slot {
-            Some(Ok(result)) => results.push(Some(result)),
-            Some(Err(e)) => {
-                errors.push((i, e.to_string()));
-                results.push(None);
-            }
-            None => results.push(None),
-        }
-    }
-    Ok(SweepOutcome {
-        results,
-        failures: run.failures,
-        errors,
-        resumed: resumed.into_inner(),
-    })
+    Ok(run_resumable(
+        &scenario_set(settings.count),
+        |i, scenario| scenario_fingerprint(scenario, settings, settings.validated(i)),
+        |i, scenario| evaluate_scenario(&trace_dir, scenario, settings, settings.validated(i)),
+        store,
+        resume,
+        policy,
+    ))
 }
 
 /// Per-scheme aggregate over the whole sweep.
@@ -1091,7 +925,7 @@ mod tests {
         let dir = temp_dir("store");
         let s = scenario(1);
         let result = evaluate_scenario(&dir, &s, &settings, false).expect("evaluate");
-        let store = ScenarioStore::new(dir.join("checkpoints")).expect("store");
+        let store = CheckpointStore::new(dir.join("checkpoints")).expect("store");
         let fp = scenario_fingerprint(&s, &settings, false);
         assert!(store.load(1, &fp).expect("empty").is_none());
         store.save(&result, &fp).expect("save");
@@ -1121,7 +955,7 @@ mod tests {
     fn sweep_completes_resumes_and_summarizes() {
         let settings = tiny_settings();
         let out = temp_dir("sweep");
-        let store = ScenarioStore::new(out.join("checkpoints")).expect("store");
+        let store = CheckpointStore::new(out.join("checkpoints")).expect("store");
         let outcome =
             run_scenario_sweep(&out, &settings, Some(&store), false, RetryPolicy::default())
                 .expect("sweep");
@@ -1145,5 +979,33 @@ mod tests {
             .expect("resumed sweep");
         assert_eq!(again.resumed, settings.count);
         assert_eq!(again.results, outcome.results);
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // Captured before the fingerprint moved onto the shared
+        // `untangle_durable::fnv1a`: a silent re-hash would orphan
+        // every existing checkpoint.
+        assert_eq!(
+            scenario_fingerprint(&scenario(1), &tiny_settings(), false),
+            "bf1e6b3e078bf6bf"
+        );
+    }
+
+    #[test]
+    fn misordered_schemes_are_rejected() {
+        // Regression test: `summarize` pairs entries with SCHEMES by
+        // position, so a payload listing its schemes out of order used
+        // to load and silently misattribute every aggregate.
+        let dir = temp_dir("misordered");
+        let mut result =
+            evaluate_scenario(&dir, &scenario(1), &tiny_settings(), true).expect("evaluate");
+        result.schemes.swap(0, 1);
+        assert!(ScenarioResult::from_json(&result.to_json()).is_err());
+        result.schemes.swap(0, 1);
+        result.validation.swap(0, 1);
+        assert!(ScenarioResult::from_json(&result.to_json()).is_err());
+        result.validation.swap(0, 1);
+        assert_eq!(ScenarioResult::from_json(&result.to_json()), Ok(result));
     }
 }

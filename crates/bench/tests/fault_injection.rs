@@ -7,8 +7,8 @@
 //! variable is mutated mid-test, so concurrent test functions would race
 //! on both. Sequential phases keep every assertion deterministic.
 
-use untangle_bench::checkpoint::CheckpointStore;
-use untangle_bench::experiments::{run_all_mixes_resumable, SweepOutcome};
+use untangle_bench::checkpoint::{Checkpoint, CheckpointStore, MixSummary, SweepOutcome};
+use untangle_bench::experiments::run_all_mixes_resumable;
 use untangle_bench::parallel::{fault, RetryPolicy};
 use untangle_workloads::mix::{mix_by_id, Mix};
 
@@ -16,9 +16,9 @@ const SCALE: f64 = 0.0005;
 
 /// Renders every summary of the sweep to one JSON string — the
 /// byte-identity witness for the isolation and resume guarantees.
-fn render(outcome: &SweepOutcome) -> String {
+fn render(outcome: &SweepOutcome<MixSummary>) -> String {
     outcome
-        .summaries
+        .results
         .iter()
         .map(|s| s.as_ref().expect("sweep complete").to_json().render())
         .collect::<Vec<_>>()
@@ -101,9 +101,10 @@ fn injected_faults_are_isolated_and_resume_is_bit_identical() {
     assert!(resumed.is_complete());
     assert_eq!(render(&resumed), render(&clean));
 
-    // (Fingerprint mismatches and the no-`--resume` path are covered at
-    // unit level in `checkpoint::tests`; re-running whole sweeps for
-    // them here would only burn CI minutes.)
+    // (Fingerprint mismatches, misshapen payloads, and the no-`--resume`
+    // path are covered at unit level in the `checkpoint` and `scenarios`
+    // module tests, which drive the same engine and store; re-running
+    // whole sweeps for them here would only burn CI minutes.)
 
     // A torn checkpoint (kill mid-write before the atomic rename would
     // normally prevent this) is recomputed, never trusted.

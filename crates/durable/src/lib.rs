@@ -94,9 +94,11 @@ impl fmt::Display for DurableError {
 
 impl std::error::Error for DurableError {}
 
-/// FNV-1a over a byte slice: the workspace's deterministic,
-/// platform-independent checksum (the same constants the serve engine
-/// uses for shard routing and `untangle-bench` for fingerprints).
+/// FNV-1a over a byte slice: the workspace's one deterministic,
+/// platform-independent hash. It checksums every durable frame, routes
+/// serve domains to shards, and fingerprints `untangle-bench`
+/// checkpoints.
+#[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {

@@ -4,7 +4,8 @@
 //!
 //! # Sharding contract
 //!
-//! A domain is assigned to shard `fnv1a(domain) % shards` for its whole
+//! A domain is assigned to shard `fnv1a(domain bytes) % shards` (the
+//! workspace's one FNV-1a, over the id's little-endian bytes) for its whole
 //! lifetime, and each [`Shard`] exclusively owns the mutable state of
 //! its domains — there is no cross-shard mutable data, so the `parallel`
 //! fan-out (one `std::thread` per shard) needs no locks. Because every
@@ -23,6 +24,7 @@ use untangle_core::scheme::SchemeParams;
 use untangle_core::taint::audit::{self, AuditLog, SiteCount};
 use untangle_core::taint::sites;
 use untangle_core::UntangleError;
+use untangle_durable::fnv1a;
 use untangle_info::{RateTable, RmaxCache};
 use untangle_obs::json::Json;
 use untangle_obs::{self as obs};
@@ -163,7 +165,7 @@ impl ServeEngine {
 
     /// The shard a domain is (and will always be) assigned to.
     pub fn shard_of(&self, domain: u64) -> usize {
-        (fnv1a(domain) % self.shards.len() as u64) as usize
+        (fnv1a(&domain.to_le_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// Number of currently admitted domains across all shards.
@@ -364,7 +366,7 @@ impl ServeEngine {
         for event in events {
             let idx = self.ingested;
             self.ingested += 1;
-            let shard = (fnv1a(event.domain()) % queues.len() as u64) as usize;
+            let shard = (fnv1a(&event.domain().to_le_bytes()) % queues.len() as u64) as usize;
             queues[shard].push((idx, event.clone()));
         }
         for (k, queue) in queues.iter().enumerate() {
@@ -739,17 +741,6 @@ fn merge_audit(into: &mut AuditLog, from: AuditLog) {
     }
     merge(&mut into.declassified, from.declassified);
     merge(&mut into.violations, from.violations);
-}
-
-/// FNV-1a over the domain id's little-endian bytes: the deterministic,
-/// platform-independent shard assignment hash.
-fn fnv1a(domain: u64) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in domain.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -164,11 +164,6 @@ impl System {
         self.partition_sizes[domain]
     }
 
-    /// Sum of all partition sizes in bytes (must never exceed the LLC).
-    pub fn total_partitioned_bytes(&self) -> u64 {
-        self.partition_sizes.iter().map(|s| s.bytes()).sum()
-    }
-
     /// `domain`'s statistics so far.
     pub fn stats(&self, domain: usize) -> DomainStats {
         self.stats[domain]

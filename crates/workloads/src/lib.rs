@@ -37,6 +37,17 @@ pub mod mix;
 pub mod scenario;
 pub mod spec;
 
+/// The per-benchmark seed hash over a benchmark name. It has FNV-1a's
+/// offset basis and xor-multiply shape, but multiplies by `0x1000001b3`,
+/// not the 64-bit FNV prime `0x100000001b3`, so it is *not*
+/// `untangle_durable::fnv1a`. Every SPEC and crypto source is seeded
+/// from it, so changing the constant would change every mix result.
+fn name_hash(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
+    })
+}
+
 pub use crypto::{crypto_benchmarks, CryptoBenchmark};
 pub use mix::{mixes, Mix, WorkloadSpec};
 pub use scenario::{scenario_set, Scenario, ScenarioClass};
