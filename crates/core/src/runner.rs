@@ -19,7 +19,7 @@
 //!   steals capacity whenever the victim maintains, forcing visible
 //!   expansions.
 
-use crate::action::{Action, ResizingTrace};
+use crate::action::{Action, ActionClass, ResizingTrace};
 use crate::decision::DecisionCore;
 use crate::error::UntangleError;
 use crate::heuristic;
@@ -29,7 +29,7 @@ use crate::schedule::{ProgressSchedule, ScheduleEvent, TimeSchedule};
 use crate::scheme::{DomainTier, MetricKind, SchemeKind, SchemeParams};
 use crate::taint::{sites, Labeled};
 use untangle_obs as obs;
-use untangle_sim::config::{MachineConfig, PartitionSize};
+use untangle_sim::config::{MachineConfig, PartitionSize, LINE_BYTES};
 use untangle_sim::stats::{geometric_mean, nearest_rank_index, DomainStats};
 use untangle_sim::system::{LlcMode, System};
 use untangle_trace::synth::TraceRng;
@@ -294,8 +294,12 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// * [`UntangleError::InvalidConfig`] — no sources, or the initial
-    ///   partitions oversubscribe the LLC.
+    /// * [`UntangleError::InvalidConfig`] — no sources, more sources than
+    ///   the machine has cores, a machine the simulator cannot build
+    ///   (zero ways, caches that do not divide into sets, a UMON sample
+    ///   ratio that does not divide every candidate's set count, bad
+    ///   timing parameters), or initial partitions that oversubscribe
+    ///   the LLC.
     /// * Any `untangle-info` error from the `R_max` rate-model build
     ///   (Untangle scheme only), converted via `From<InfoError>`.
     pub fn new(
@@ -308,6 +312,9 @@ impl Runner {
                 "runner needs at least one trace source".to_string(),
             ));
         }
+        let monitors =
+            config.kind.is_dynamic() && config.params.metric_kind == MetricKind::HitCurve;
+        check_machine(&config.machine, domains, monitors).map_err(UntangleError::InvalidConfig)?;
         let mode = match config.kind {
             SchemeKind::Shared => LlcMode::Shared,
             _ => LlcMode::Partitioned,
@@ -640,8 +647,7 @@ impl Runner {
         if obs::enabled() {
             // One counter per (scheme, decision class), e.g.
             // `runner.decisions.untangle.maintain`.
-            let kind = self.config.kind.name().to_ascii_lowercase();
-            obs::counter_add(&format!("runner.decisions.{kind}.{}", class.name()), 1);
+            obs::counter_add(decision_counter(self.config.kind, class), 1);
         }
 
         if !class.is_visible() && self.config.squeeze {
@@ -676,9 +682,93 @@ impl Runner {
     }
 }
 
+/// Rejects a machine that [`System::new`] (with `domains` cores) or,
+/// when `monitors` is set, a hit-curve utility monitor would panic on.
+fn check_machine(machine: &MachineConfig, domains: usize, monitors: bool) -> Result<(), String> {
+    if domains > machine.cores {
+        return Err(format!(
+            "{domains} trace sources but the machine has {} cores",
+            machine.cores
+        ));
+    }
+    for (cache, bytes, ways) in [
+        ("L1", machine.l1_bytes, machine.l1_ways),
+        ("LLC", machine.llc_bytes, machine.llc_ways),
+    ] {
+        let set_bytes = u64::try_from(ways)
+            .ok()
+            .and_then(|w| w.checked_mul(LINE_BYTES))
+            .filter(|&b| b > 0);
+        if !set_bytes.is_some_and(|b| bytes > 0 && bytes.is_multiple_of(b)) {
+            return Err(format!(
+                "{cache} of {bytes} bytes does not divide into {ways}-way sets"
+            ));
+        }
+    }
+    // Every partition size is a whole multiple of the smallest.
+    if PartitionSize::KB128.sets(machine.llc_ways) == 0 {
+        return Err(format!(
+            "a {}-way LLC leaves the {} partition no sets",
+            machine.llc_ways,
+            PartitionSize::KB128
+        ));
+    }
+    if monitors {
+        if machine.umon_window == 0 {
+            return Err("UMON window must be positive".to_string());
+        }
+        let r = machine.umon_sample_ratio;
+        if let Some(size) = PartitionSize::ALL
+            .into_iter()
+            .find(|s| r == 0 || s.sets(machine.llc_ways) % r != 0)
+        {
+            return Err(format!(
+                "UMON sample ratio {r} does not divide the {} set count of {size}",
+                size.sets(machine.llc_ways)
+            ));
+        }
+    }
+    let timing = &machine.timing;
+    if timing.commit_width == 0
+        || !(0.0..=1.0).contains(&timing.exposed_miss_fraction)
+        || timing.mshrs == Some(0)
+    {
+        return Err(format!(
+            "timing needs a positive commit width, an exposed-miss fraction in [0, 1] \
+             and at least one MSHR: {timing:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// The obs counter for one (scheme, decision class), e.g.
+/// `runner.decisions.untangle.maintain`.
+fn decision_counter(kind: SchemeKind, class: ActionClass) -> &'static str {
+    use ActionClass::{Expand, Maintain, Shrink};
+    use SchemeKind::{SecDcp, Shared, Static, Time, Untangle};
+    match (kind, class) {
+        (Static, Expand) => "runner.decisions.static.expand",
+        (Static, Maintain) => "runner.decisions.static.maintain",
+        (Static, Shrink) => "runner.decisions.static.shrink",
+        (Time, Expand) => "runner.decisions.time.expand",
+        (Time, Maintain) => "runner.decisions.time.maintain",
+        (Time, Shrink) => "runner.decisions.time.shrink",
+        (Untangle, Expand) => "runner.decisions.untangle.expand",
+        (Untangle, Maintain) => "runner.decisions.untangle.maintain",
+        (Untangle, Shrink) => "runner.decisions.untangle.shrink",
+        (Shared, Expand) => "runner.decisions.shared.expand",
+        (Shared, Maintain) => "runner.decisions.shared.maintain",
+        (Shared, Shrink) => "runner.decisions.shared.shrink",
+        (SecDcp, Expand) => "runner.decisions.secdcp.expand",
+        (SecDcp, Maintain) => "runner.decisions.secdcp.maintain",
+        (SecDcp, Shrink) => "runner.decisions.secdcp.shrink",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use untangle_sim::config::TimingConfig;
     use untangle_trace::synth::{CryptoConfig, CryptoModel, WorkingSetConfig, WorkingSetModel};
 
     fn ws_source(ws_bytes: u64, seed: u64) -> Box<dyn TraceSource> {
@@ -714,6 +804,131 @@ mod tests {
             Runner::new(config, sources),
             Err(UntangleError::InvalidConfig(_))
         ));
+
+        let sources = |n: u64| (0..n).map(|s| ws_source(1 << 20, s)).collect::<Vec<_>>();
+        let rejects = |config: RunnerConfig, n: u64| {
+            let result = Runner::new(config, sources(n));
+            assert!(
+                matches!(result, Err(UntangleError::InvalidConfig(_))),
+                "expected InvalidConfig, got {:?}",
+                result.err()
+            );
+        };
+        let with_machine = |kind: SchemeKind, machine: MachineConfig| RunnerConfig {
+            machine,
+            ..RunnerConfig::test_scale(kind, 1)
+        };
+        let default = MachineConfig::default();
+
+        // More sources than cores: in Shared mode, and in partitioned
+        // mode with partitions small enough to pass the capacity check.
+        rejects(RunnerConfig::test_scale(SchemeKind::Shared, 9), 9);
+        let small = RunnerConfig {
+            initial_partition: PartitionSize::KB128,
+            ..RunnerConfig::test_scale(SchemeKind::Static, 9)
+        };
+        rejects(small, 9);
+
+        // Machines the simulator cannot build.
+        for kind in [SchemeKind::Static, SchemeKind::Shared, SchemeKind::Untangle] {
+            for machine in [
+                MachineConfig {
+                    llc_ways: 0,
+                    ..default.clone()
+                },
+                MachineConfig {
+                    l1_ways: 0,
+                    ..default.clone()
+                },
+                MachineConfig {
+                    l1_bytes: 1000,
+                    ..default.clone()
+                },
+                MachineConfig {
+                    llc_ways: 4096,
+                    ..default.clone()
+                },
+                MachineConfig {
+                    llc_ways: usize::MAX,
+                    ..default.clone()
+                },
+                MachineConfig {
+                    timing: TimingConfig {
+                        commit_width: 0,
+                        ..TimingConfig::default()
+                    },
+                    ..default.clone()
+                },
+                MachineConfig {
+                    timing: TimingConfig {
+                        mshrs: Some(0),
+                        ..TimingConfig::default()
+                    },
+                    ..default.clone()
+                },
+            ] {
+                rejects(with_machine(kind, machine), 1);
+            }
+        }
+
+        // UMON parameters the hit-curve monitor cannot use, for every
+        // scheme that builds one.
+        for kind in [SchemeKind::Time, SchemeKind::Untangle] {
+            for machine in [
+                MachineConfig {
+                    umon_sample_ratio: 3,
+                    ..default.clone()
+                },
+                MachineConfig {
+                    umon_sample_ratio: 0,
+                    ..default.clone()
+                },
+                MachineConfig {
+                    umon_window: 0,
+                    ..default.clone()
+                },
+            ] {
+                rejects(with_machine(kind, machine), 1);
+            }
+        }
+        // A scheme without a monitor does not read them.
+        let unmonitored = MachineConfig {
+            umon_sample_ratio: 3,
+            ..default.clone()
+        };
+        assert!(Runner::new(with_machine(SchemeKind::Static, unmonitored), sources(1)).is_ok());
+    }
+
+    #[test]
+    fn decision_counter_names_match_the_formatted_keys() {
+        let kinds = [
+            SchemeKind::Static,
+            SchemeKind::Time,
+            SchemeKind::Untangle,
+            SchemeKind::Shared,
+            SchemeKind::SecDcp,
+        ];
+        let classes = [
+            ActionClass::Expand,
+            ActionClass::Maintain,
+            ActionClass::Shrink,
+        ];
+        for kind in kinds {
+            for class in classes {
+                assert_eq!(
+                    decision_counter(kind, class),
+                    format!(
+                        "runner.decisions.{}.{}",
+                        kind.name().to_ascii_lowercase(),
+                        class.name()
+                    )
+                );
+            }
+        }
+        assert_eq!(
+            decision_counter(SchemeKind::Untangle, ActionClass::Maintain),
+            "runner.decisions.untangle.maintain"
+        );
     }
 
     #[test]

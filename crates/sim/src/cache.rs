@@ -25,15 +25,49 @@ impl AccessOutcome {
     }
 }
 
+/// Tag of an invalid way. Line index `u64::MAX` is therefore never
+/// cached (see [`SetAssocCache::access`]).
+const INVALID: u64 = u64::MAX;
+
+/// Remainder and quotient by a fixed divisor: a mask and a shift when
+/// the divisor is a power of two, hardware division otherwise.
 #[derive(Debug, Clone, Copy)]
-struct Way {
-    /// Full line index; `u64::MAX` marks an invalid way.
-    tag: u64,
-    /// Monotonic timestamp of last touch (for LRU).
-    last_used: u64,
+pub(crate) struct Divisor {
+    divisor: u64,
+    /// `log2(divisor)` when the divisor is a power of two.
+    shift: Option<u32>,
 }
 
-const INVALID: u64 = u64::MAX;
+impl Divisor {
+    /// # Panics
+    ///
+    /// Panics if `divisor` is zero.
+    pub(crate) fn new(divisor: u64) -> Self {
+        assert!(divisor > 0, "zero divisor");
+        Self {
+            divisor,
+            shift: divisor.is_power_of_two().then(|| divisor.trailing_zeros()),
+        }
+    }
+
+    /// `x % divisor`.
+    #[inline]
+    pub(crate) fn rem(self, x: u64) -> u64 {
+        match self.shift {
+            Some(_) => x & (self.divisor - 1),
+            None => x % self.divisor,
+        }
+    }
+
+    /// `x / divisor`.
+    #[inline]
+    pub(crate) fn div(self, x: u64) -> u64 {
+        match self.shift {
+            Some(shift) => x >> shift,
+            None => x / self.divisor,
+        }
+    }
+}
 
 /// A set-associative cache holding line tags with LRU replacement.
 ///
@@ -44,6 +78,13 @@ const INVALID: u64 = u64::MAX;
 /// like real set repartitioning: growing exposes cold sets and
 /// shrinking surrenders sets, but the content of retained sets is
 /// never displaced by remapping.
+///
+/// Each set is a contiguous run of `ways` tags kept in recency order:
+/// the most recently used line first, the LRU line last, and invalid
+/// ways forming a suffix. Fills go to the front and only whole sets are
+/// ever invalidated, so the suffix property holds; the last slot is
+/// always the victim (an invalid way if there is one, else the LRU
+/// line).
 ///
 /// # Example
 ///
@@ -63,8 +104,12 @@ pub struct SetAssocCache {
     /// partitioning, where a domain's share of the LLC grows and
     /// shrinks at runtime.
     effective_sets: usize,
-    ways: Vec<Way>,
-    clock: u64,
+    /// Home-set mapping: `line % geometry.sets`.
+    home: Divisor,
+    /// Fold of a surrendered home set: `home % effective_sets`.
+    fold: Divisor,
+    /// `sets × ways` tags, one recency-ordered run per set.
+    tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -83,14 +128,9 @@ impl SetAssocCache {
         Self {
             geometry,
             effective_sets: geometry.sets,
-            ways: vec![
-                Way {
-                    tag: INVALID,
-                    last_used: 0,
-                };
-                geometry.sets * geometry.ways
-            ],
-            clock: 0,
+            home: Divisor::new(geometry.sets as u64),
+            fold: Divisor::new(geometry.sets as u64),
+            tags: vec![INVALID; geometry.sets * geometry.ways],
             hits: 0,
             misses: 0,
         }
@@ -123,74 +163,86 @@ impl SetAssocCache {
             self.geometry.sets
         );
         if sets < self.effective_sets {
-            for w in
-                &mut self.ways[sets * self.geometry.ways..self.effective_sets * self.geometry.ways]
-            {
-                w.tag = INVALID;
-                w.last_used = 0;
-            }
+            let ways = self.geometry.ways;
+            self.tags[sets * ways..self.effective_sets * ways].fill(INVALID);
         }
         self.effective_sets = sets;
+        self.fold = Divisor::new(sets as u64);
     }
 
     /// Home-set mapping with folding for surrendered sets (see type
     /// docs).
     #[inline]
     fn map_set(&self, line: u64) -> usize {
-        let home = (line % self.geometry.sets as u64) as usize;
-        if home < self.effective_sets {
-            home
+        let home = self.home.rem(line);
+        if home < self.effective_sets as u64 {
+            home as usize
         } else {
-            home % self.effective_sets
+            self.fold.rem(home) as usize
         }
+    }
+
+    /// The recency-ordered tags of the set `line` maps to.
+    #[inline]
+    fn set_of(&mut self, line: u64) -> &mut [u64] {
+        let ways = self.geometry.ways;
+        let base = self.map_set(line) * ways;
+        &mut self.tags[base..base + ways]
     }
 
     /// Accesses `addr`: on a hit refreshes LRU state, on a miss fills the
     /// line, evicting the least recently used way of the set.
+    ///
+    /// Line index `u64::MAX` is the invalid-way tag and is never cached:
+    /// it hits when its set has an invalid way and otherwise misses,
+    /// invalidating the set's LRU line.
     pub fn access(&mut self, addr: LineAddr) -> AccessOutcome {
-        self.clock += 1;
         let line = addr.line_index();
-        let set = self.map_set(line);
-        let base = set * self.geometry.ways;
-        let set_ways = &mut self.ways[base..base + self.geometry.ways];
-
-        // Hit path.
-        for w in set_ways.iter_mut() {
-            if w.tag == line {
-                w.last_used = self.clock;
-                self.hits += 1;
-                return AccessOutcome::Hit;
-            }
+        if line == INVALID {
+            return self.access_invalid_tag();
         }
-        // Miss: fill into invalid or LRU way.
-        let victim = set_ways
-            .iter_mut()
-            .min_by_key(|w| if w.tag == INVALID { 0 } else { w.last_used })
-            .expect("ways > 0");
-        victim.tag = line;
-        victim.last_used = self.clock;
-        self.misses += 1;
-        AccessOutcome::Miss
+        let ways = self.geometry.ways;
+        let set = self.set_of(line);
+        let hit = match ways {
+            8 => move_to_front::<8>(set.try_into().expect("8-way set"), line),
+            16 => move_to_front::<16>(set.try_into().expect("16-way set"), line),
+            _ => move_to_front_any(set, line),
+        };
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        if hit {
+            AccessOutcome::Hit
+        } else {
+            AccessOutcome::Miss
+        }
+    }
+
+    #[cold]
+    fn access_invalid_tag(&mut self) -> AccessOutcome {
+        let set = self.set_of(INVALID);
+        let last = set.len() - 1;
+        if set[last] == INVALID {
+            self.hits += 1;
+            AccessOutcome::Hit
+        } else {
+            set[last] = INVALID;
+            self.misses += 1;
+            AccessOutcome::Miss
+        }
     }
 
     /// Whether `addr` is currently present, without touching LRU state or
     /// counters.
     pub fn probe(&self, addr: LineAddr) -> bool {
         let line = addr.line_index();
-        let set = self.map_set(line);
-        let base = set * self.geometry.ways;
-        self.ways[base..base + self.geometry.ways]
-            .iter()
-            .any(|w| w.tag == line)
+        let base = self.map_set(line) * self.geometry.ways;
+        self.tags[base..base + self.geometry.ways].contains(&line)
     }
 
     /// Invalidates every line (used when a model requires a cold
     /// restart; resizes do *not* flush — see `system`).
     pub fn invalidate_all(&mut self) {
-        for w in &mut self.ways {
-            w.tag = INVALID;
-            w.last_used = 0;
-        }
+        self.tags.fill(INVALID);
     }
 
     /// Lifetime hit count.
@@ -216,8 +268,43 @@ impl SetAssocCache {
 
     /// Number of valid lines currently cached.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.tag != INVALID).count()
+        self.tags.iter().filter(|&&tag| tag != INVALID).count()
     }
+}
+
+/// Moves `line` to the front of a recency-ordered set; returns whether
+/// it was present. Each way up to the hit (or, on a miss, every way)
+/// takes its predecessor's tag, so a miss drops the last one.
+///
+/// Fixed-width form of [`move_to_front_any`] for the common
+/// associativities: the compare and the shift have no data-dependent
+/// branch, so the compiler can unroll and vectorize both.
+#[inline(always)]
+fn move_to_front<const N: usize>(set: &mut [u64; N], line: u64) -> bool {
+    let mut matches = 0u32;
+    for (i, &tag) in set.iter().enumerate() {
+        matches |= u32::from(tag == line) << i;
+    }
+    let last = (matches.trailing_zeros() as usize).min(N - 1);
+    let old = *set;
+    for i in 1..N {
+        set[i] = if i <= last { old[i - 1] } else { old[i] };
+    }
+    set[0] = line;
+    matches != 0
+}
+
+/// [`move_to_front`] for any associativity.
+fn move_to_front_any(set: &mut [u64], line: u64) -> bool {
+    let mut carry = line;
+    for tag in set {
+        let seen = std::mem::replace(tag, carry);
+        if seen == line {
+            return true;
+        }
+        carry = seen;
+    }
+    false
 }
 
 #[cfg(test)]

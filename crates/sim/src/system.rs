@@ -35,18 +35,23 @@ pub struct RetireEvent {
     pub cycles: f64,
 }
 
+/// The LLC, allocated in the one organization the system uses.
+#[derive(Debug, Clone)]
+enum Llc {
+    /// Per-domain partitions, allocated at the maximum supported size
+    /// and resized via effective sets.
+    Partitioned(Vec<SetAssocCache>),
+    /// The single shared LLC.
+    Shared(SetAssocCache),
+}
+
 /// The simulated machine. See the crate-level example.
 #[derive(Debug, Clone)]
 pub struct System {
     machine: MachineConfig,
-    mode: LlcMode,
     l1s: Vec<SetAssocCache>,
-    /// Per-domain LLC partitions (allocated at the maximum supported
-    /// size, resized via effective sets). Unused in shared mode.
-    partitions: Vec<SetAssocCache>,
+    llc: Llc,
     partition_sizes: Vec<PartitionSize>,
-    /// The single shared LLC. Unused in partitioned mode.
-    shared: SetAssocCache,
     timing: Vec<CoreTiming>,
     stats: Vec<DomainStats>,
 }
@@ -65,28 +70,33 @@ impl System {
             "domains must be in 1..={}",
             machine.cores
         );
-        let max_geometry = machine.partition_geometry(PartitionSize::MB8);
         let initial = PartitionSize::MB2;
-        let partitions: Vec<SetAssocCache> = (0..domains)
-            .map(|_| {
-                let mut c = SetAssocCache::new(max_geometry);
-                c.resize_sets(initial.sets(machine.llc_ways));
-                c
-            })
-            .collect();
+        let llc = match mode {
+            LlcMode::Partitioned => {
+                let max_geometry = machine.partition_geometry(PartitionSize::MB8);
+                Llc::Partitioned(
+                    (0..domains)
+                        .map(|_| {
+                            let mut c = SetAssocCache::new(max_geometry);
+                            c.resize_sets(initial.sets(machine.llc_ways));
+                            c
+                        })
+                        .collect(),
+                )
+            }
+            LlcMode::Shared => Llc::Shared(SetAssocCache::new(machine.llc_geometry())),
+        };
         Self {
             l1s: (0..domains)
                 .map(|_| SetAssocCache::new(machine.l1_geometry()))
                 .collect(),
-            partitions,
+            llc,
             partition_sizes: vec![initial; domains],
-            shared: SetAssocCache::new(machine.llc_geometry()),
             timing: (0..domains)
                 .map(|_| CoreTiming::new(machine.timing))
                 .collect(),
             stats: vec![DomainStats::default(); domains],
             machine,
-            mode,
         }
     }
 
@@ -97,7 +107,10 @@ impl System {
 
     /// The LLC organization.
     pub fn mode(&self) -> LlcMode {
-        self.mode
+        match self.llc {
+            Llc::Partitioned(_) => LlcMode::Partitioned,
+            Llc::Shared(_) => LlcMode::Shared,
+        }
     }
 
     /// Number of simulated domains.
@@ -120,10 +133,11 @@ impl System {
                 self.stats[domain].l1_hits += 1;
                 ServiceLevel::L1
             } else {
-                let llc_hit = match self.mode {
-                    LlcMode::Partitioned => self.partitions[domain].access(access.addr).is_hit(),
-                    LlcMode::Shared => self.shared.access(access.addr).is_hit(),
-                };
+                let llc_hit = match &mut self.llc {
+                    Llc::Partitioned(partitions) => partitions[domain].access(access.addr),
+                    Llc::Shared(shared) => shared.access(access.addr),
+                }
+                .is_hit();
                 if llc_hit {
                     self.stats[domain].llc_hits += 1;
                     ServiceLevel::Llc
@@ -154,8 +168,8 @@ impl System {
     /// Panics if `domain` is out of range.
     pub fn resize(&mut self, domain: usize, size: PartitionSize) {
         self.partition_sizes[domain] = size;
-        if self.mode == LlcMode::Partitioned {
-            self.partitions[domain].resize_sets(size.sets(self.machine.llc_ways));
+        if let Llc::Partitioned(partitions) = &mut self.llc {
+            partitions[domain].resize_sets(size.sets(self.machine.llc_ways));
         }
     }
 

@@ -12,7 +12,7 @@
 
 use crate::cache::SetAssocCache;
 use crate::config::CacheGeometry;
-use std::collections::VecDeque;
+use crate::umon::HitWindow;
 use untangle_trace::LineAddr;
 
 /// Bytes per page (4 KiB).
@@ -128,10 +128,8 @@ pub type TlbHitCurve = [u64; TLB_SIZES.len()];
 /// construction, Principle 1).
 #[derive(Debug, Clone)]
 pub struct TlbUtilityMonitor {
-    window: usize,
     candidates: Vec<SetAssocCache>,
-    history: VecDeque<u8>,
-    hit_counts: TlbHitCurve,
+    window: HitWindow<{ TLB_SIZES.len() }>,
 }
 
 impl TlbUtilityMonitor {
@@ -141,9 +139,8 @@ impl TlbUtilityMonitor {
     ///
     /// Panics if `window` is zero.
     pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
         Self {
-            window,
+            window: HitWindow::new(window),
             candidates: TLB_SIZES
                 .iter()
                 .map(|&entries| {
@@ -153,49 +150,37 @@ impl TlbUtilityMonitor {
                     })
                 })
                 .collect(),
-            history: VecDeque::with_capacity(window + 1),
-            hit_counts: [0; TLB_SIZES.len()],
         }
     }
 
     /// Observes one retired public memory access.
     pub fn observe(&mut self, line: LineAddr) {
         let page = LineAddr::new(PageNumber::from_line(line).value());
-        let mut mask: u8 = 0;
+        let mut mask: u16 = 0;
         for (i, cand) in self.candidates.iter_mut().enumerate() {
-            if cand.access(page).is_hit() {
-                mask |= 1 << i;
-                self.hit_counts[i] += 1;
-            }
+            mask |= u16::from(cand.access(page).is_hit()) << i;
         }
-        self.history.push_back(mask);
-        if self.history.len() > self.window {
-            let old = self.history.pop_front().expect("nonempty");
-            for (i, count) in self.hit_counts.iter_mut().enumerate() {
-                if old >> i & 1 == 1 {
-                    *count -= 1;
-                }
-            }
-        }
+        self.window.push(mask);
     }
 
     /// Hits each candidate TLB size would have scored in the window.
     pub fn hit_curve(&self) -> TlbHitCurve {
-        self.hit_counts
+        self.window.counts()
     }
 
     /// Observed accesses currently in the window.
     pub fn window_fill(&self) -> usize {
-        self.history.len()
+        self.window.len()
     }
 
     /// The smallest supported size whose hits are within `slack` of the
     /// best — the §5.2 "adequate size" rule at TLB granularity.
     pub fn adequate_entries(&self, slack: u64) -> usize {
-        let best = *self.hit_counts.iter().max().expect("nonempty curve");
+        let counts = self.window.counts();
+        let best = *counts.iter().max().expect("nonempty curve");
         let threshold = best.saturating_sub(slack);
         for (i, &size) in TLB_SIZES.iter().enumerate() {
-            if self.hit_counts[i] >= threshold {
+            if counts[i] >= threshold {
                 return size;
             }
         }

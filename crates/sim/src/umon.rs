@@ -15,7 +15,7 @@
 //!   the same program order, so its filtering decisions depend only on
 //!   the architectural access sequence — never on cycle timing.
 
-use crate::cache::SetAssocCache;
+use crate::cache::{Divisor, SetAssocCache};
 use crate::config::{CacheGeometry, MachineConfig, PartitionSize};
 use std::collections::VecDeque;
 use untangle_trace::LineAddr;
@@ -46,15 +46,14 @@ pub type HitCurve = [u64; PartitionSize::COUNT];
 /// ```
 #[derive(Debug, Clone)]
 pub struct UtilityMonitor {
-    sample_ratio: u64,
-    window: usize,
+    /// Only lines `≡ 0 (mod umon_sample_ratio)` are sampled.
+    sample: Divisor,
     /// Tag-only private-cache filter (L1-sized), fed in program order.
     filter: SetAssocCache,
     /// One scaled candidate cache per supported partition size.
     candidates: Vec<SetAssocCache>,
-    /// Which candidates hit, per sampled access, oldest first.
-    history: VecDeque<u16>,
-    hit_counts: HitCurve,
+    /// Which candidates hit, per sampled access, over the window.
+    window: HitWindow<{ PartitionSize::COUNT }>,
 }
 
 impl UtilityMonitor {
@@ -65,7 +64,7 @@ impl UtilityMonitor {
     /// Panics if the sample ratio does not divide every candidate's set
     /// count, or if the window is zero.
     pub fn new(machine: &MachineConfig) -> Self {
-        assert!(machine.umon_window > 0, "window must be positive");
+        let window = HitWindow::new(machine.umon_window);
         let r = machine.umon_sample_ratio;
         assert!(r > 0, "sample ratio must be positive");
         let candidates = PartitionSize::ALL
@@ -83,12 +82,10 @@ impl UtilityMonitor {
             })
             .collect();
         Self {
-            sample_ratio: r as u64,
-            window: machine.umon_window,
+            sample: Divisor::new(r as u64),
             filter: SetAssocCache::new(machine.l1_geometry()),
             candidates,
-            history: VecDeque::with_capacity(machine.umon_window + 1),
-            hit_counts: [0; PartitionSize::COUNT],
+            window,
         }
     }
 
@@ -102,49 +99,105 @@ impl UtilityMonitor {
             return;
         }
         let line = addr.line_index();
-        if !line.is_multiple_of(self.sample_ratio) {
+        if self.sample.rem(line) != 0 {
             return;
         }
         // Sampled sets {0, r, 2r, …} of the full cache map bijectively to
         // the scaled cache addressed by line / r (see module docs).
-        let scaled = LineAddr::new(line / self.sample_ratio);
+        let scaled = LineAddr::new(self.sample.div(line));
         let mut mask: u16 = 0;
         for (i, cand) in self.candidates.iter_mut().enumerate() {
-            if cand.access(scaled).is_hit() {
-                mask |= 1 << i;
-                self.hit_counts[i] += 1;
-            }
+            mask |= u16::from(cand.access(scaled).is_hit()) << i;
         }
-        self.history.push_back(mask);
-        if self.history.len() > self.window {
-            let old = self.history.pop_front().expect("nonempty");
-            for (i, count) in self.hit_counts.iter_mut().enumerate() {
-                if old >> i & 1 == 1 {
-                    *count -= 1;
-                }
-            }
-        }
+        self.window.push(mask);
     }
 
     /// Hits each candidate partition size would have scored within the
     /// window.
     pub fn hit_curve(&self) -> HitCurve {
-        self.hit_counts
+        self.window.counts()
     }
 
     /// Number of sampled accesses currently in the window.
     pub fn window_fill(&self) -> usize {
-        self.history.len()
+        self.window.len()
     }
 
     /// Clears window state and candidate contents (cold monitor).
     pub fn reset(&mut self) {
-        self.history.clear();
-        self.hit_counts = [0; PartitionSize::COUNT];
+        self.window.clear();
         for c in &mut self.candidates {
             c.invalidate_all();
         }
         self.filter.invalidate_all();
+    }
+}
+
+/// Per-candidate hit counts over the last `window` observations: a ring
+/// of hit masks (bit `i` set when candidate `i` hit) and the running
+/// count of set bits per candidate. Shared by the LLC and TLB monitors.
+#[derive(Debug, Clone)]
+pub(crate) struct HitWindow<const N: usize> {
+    /// Ring of the last `len` masks; the oldest sits at `next` once full.
+    masks: Vec<u16>,
+    /// Slot the next mask is written to.
+    next: usize,
+    len: usize,
+    counts: [u64; N],
+}
+
+impl<const N: usize> HitWindow<N> {
+    /// An empty window over the last `window` observations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub(crate) fn new(window: usize) -> Self {
+        assert!(window > 0, "window must be positive");
+        Self {
+            masks: vec![0; window],
+            next: 0,
+            len: 0,
+            counts: [0; N],
+        }
+    }
+
+    /// Records one observation's hit mask, retiring the oldest once the
+    /// window is full.
+    pub(crate) fn push(&mut self, mask: u16) {
+        if self.len == self.masks.len() {
+            let old = self.masks[self.next];
+            for (i, count) in self.counts.iter_mut().enumerate() {
+                *count -= u64::from(old >> i & 1);
+            }
+        } else {
+            self.len += 1;
+        }
+        for (i, count) in self.counts.iter_mut().enumerate() {
+            *count += u64::from(mask >> i & 1);
+        }
+        self.masks[self.next] = mask;
+        self.next += 1;
+        if self.next == self.masks.len() {
+            self.next = 0;
+        }
+    }
+
+    /// Hits per candidate within the window.
+    pub(crate) fn counts(&self) -> [u64; N] {
+        self.counts
+    }
+
+    /// Observations currently in the window.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Empties the window.
+    pub(crate) fn clear(&mut self) {
+        self.next = 0;
+        self.len = 0;
+        self.counts = [0; N];
     }
 }
 
